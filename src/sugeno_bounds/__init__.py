@@ -14,24 +14,17 @@ from .bounds import (
     CaseTag,
     VerificationReport,
     classify_case,
-    decreasing_beta_convex,
-    decreasing_case_beta,
-    decreasing_distribution,
-    degenerate_case_bound,
+    endpoint_bound,
+    envelope_distribution,
     hadamard_bound,
-    increasing_beta_convex,
-    increasing_case_beta,
-    increasing_distribution,
     kirmaci_bound,
     verify_hadamard,
 )
 from .convexity import (
     ConvexityVerdict,
     EndpointData,
-    EnvelopeCheck,
     EnvelopeFunction,
     SMParams,
-    check_envelope_dominates,
     check_sm_convex,
     endpoint_data,
     envelope,
@@ -39,7 +32,6 @@ from .convexity import (
 )
 from .exceptions import (
     BracketError,
-    CaseError,
     DomainError,
     EvalError,
     InvalidDistortionError,
@@ -48,7 +40,7 @@ from .exceptions import (
     PreconditionError,
     UnsupportedCaseError,
 )
-from .expr import FunctionExpr, constant, evaluate, evaluate_array, parse, product, to_text, variable
+from .expr import FunctionExpr, constant, evaluate, evaluate_array, parse, product, variable
 from .measure import (
     AxiomReport,
     Interval,
@@ -68,7 +60,6 @@ from .sugeno import (
     check_proposition_properties,
     distribution_profile,
     sugeno_integral,
-    sugeno_integral_oracle,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # expressions
-    "FunctionExpr", "parse", "evaluate", "evaluate_array", "to_text",
+    "FunctionExpr", "parse", "evaluate", "evaluate_array",
     "constant", "variable", "product",
     # measures
     "Interval", "IntervalUnion", "MeasureSpec", "lebesgue", "distortion",
@@ -85,22 +76,17 @@ __all__ = [
     "SolverConfig", "FixedPointResult", "solve_sup_threshold", "solve_sign_change",
     # integrals
     "DEFAULT_GRID", "IntegralResult", "DistributionProfile", "sugeno_integral",
-    "sugeno_integral_oracle", "distribution_profile", "PropertyReport",
-    "check_proposition_properties",
+    "distribution_profile", "PropertyReport", "check_proposition_properties",
     # convexity
     "SMParams", "ConvexityVerdict", "EndpointData", "endpoint_data",
     "check_sm_convex", "power_sum_gap", "EnvelopeFunction", "envelope",
-    "EnvelopeCheck", "check_envelope_dominates",
     # bounds
     "CaseTag", "BetaResult", "classify_case", "kirmaci_bound",
-    "increasing_distribution", "decreasing_distribution",
-    "increasing_case_beta", "decreasing_case_beta",
-    "increasing_beta_convex", "decreasing_beta_convex",
-    "degenerate_case_bound", "hadamard_bound",
+    "envelope_distribution", "endpoint_bound", "hadamard_bound",
     "VerificationReport", "verify_hadamard",
     "CASE_TIE_TOL", "HOLDS_TOL",
     # errors
     "ParseError", "EvalError", "BracketError", "DomainError",
-    "NegativeFunctionError", "PreconditionError", "CaseError",
+    "NegativeFunctionError", "PreconditionError",
     "UnsupportedCaseError", "InvalidDistortionError",
 ]

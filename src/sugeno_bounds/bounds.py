@@ -24,12 +24,12 @@ it never asserts the inequality, it measures it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .convexity import EndpointData, SMParams, endpoint_data
-from .exceptions import CaseError, DomainError, UnsupportedCaseError
+from .exceptions import DomainError, UnsupportedCaseError
 from .expr import FunctionExpr, product
 from .measure import Interval, lebesgue
 from .rootfind import SolverConfig, solve_sup_threshold
@@ -41,13 +41,8 @@ __all__ = [
     "VerificationReport",
     "classify_case",
     "kirmaci_bound",
-    "increasing_distribution",
-    "decreasing_distribution",
-    "increasing_case_beta",
-    "decreasing_case_beta",
-    "increasing_beta_convex",
-    "decreasing_beta_convex",
-    "degenerate_case_bound",
+    "envelope_distribution",
+    "endpoint_bound",
     "hadamard_bound",
     "verify_hadamard",
 ]
@@ -105,160 +100,60 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else (hi if v > hi else v)
 
 
-def increasing_distribution(
+def envelope_distribution(
     e: EndpointData,
     base: Interval,
     p: SMParams,
     literal: bool = True,
 ) -> Callable[[float], float]:
-    """Envelope-product distribution F(beta) for the increasing case."""
+    """Envelope-product distribution F(beta) for the increasing or decreasing case."""
+    tag = classify_case(e, p)
+    if tag not in (CaseTag.INCREASING, CaseTag.DECREASING):
+        raise UnsupportedCaseError(
+            f"no envelope distribution for {tag.value} endpoints: "
+            f"f(b)-m*f(a)={e.fb - p.m * e.fa!r}, g(b)-m*g(a)={e.gb - p.m * e.ga!r}"
+        )
+    increasing = tag is CaseTag.INCREASING
     c = 2.0 ** (1.0 - p.s)
-    edge_f = p.m * c * e.fa
-    edge_g = p.m * c * e.ga
-    d_f = e.fb - p.m * e.fa
-    d_g = e.gb - p.m * e.ga
-    w = base.b - p.m * base.a
-    inv_s = 1.0 / p.s
-    cap = base.length
-
-    def F(beta: float) -> float:
-        len_f = w * (1.0 - _clamp01((beta - edge_f) / d_f) ** inv_s)
-        len_g = w * (1.0 - _clamp01((beta - edge_g) / d_g) ** inv_s)
-        if not literal:
-            len_f = _clamp(len_f, 0.0, cap)
-            len_g = _clamp(len_g, 0.0, cap)
-        return len_f * len_g
-
-    return F
-
-
-def decreasing_distribution(
-    e: EndpointData,
-    base: Interval,
-    p: SMParams,
-    literal: bool = True,
-) -> Callable[[float], float]:
-    """Envelope-product distribution F(beta) for the decreasing case."""
-    c = 2.0 ** (1.0 - p.s)
-    edge_f = p.m * c * e.fa
-    edge_g = p.m * c * e.ga
-    d_f = e.fb - p.m * e.fa
-    d_g = e.gb - p.m * e.ga
     w = base.b - p.m * base.a
     shift = p.m * base.a - base.a  # non-positive; zero when m = 1
     inv_s = 1.0 / p.s
     cap = base.length
+    factor_f = (p.m * c * e.fa, e.fb - p.m * e.fa)  # (envelope offset, scale)
+    factor_g = (p.m * c * e.ga, e.gb - p.m * e.ga)
+
+    def factor_length(beta: float, edge: float, d: float) -> float:
+        q = _clamp01((beta - edge) / d) ** inv_s
+        length = w * (1.0 - q) if increasing else w * q + shift
+        return length if literal else _clamp(length, 0.0, cap)
 
     def F(beta: float) -> float:
-        len_f = w * _clamp01((beta - edge_f) / d_f) ** inv_s + shift
-        len_g = w * _clamp01((beta - edge_g) / d_g) ** inv_s + shift
-        if not literal:
-            len_f = _clamp(len_f, 0.0, cap)
-            len_g = _clamp(len_g, 0.0, cap)
-        return len_f * len_g
+        return factor_length(beta, *factor_f) * factor_length(beta, *factor_g)
 
     return F
 
 
-def _solve_beta(
-    F: Callable[[float], float],
+def endpoint_bound(
+    e: EndpointData,
     base: Interval,
     p: SMParams,
-    cfg: SolverConfig,
-    case: CaseTag,
-    literal: bool,
+    cfg: SolverConfig | None = None,
+    literal: bool = True,
 ) -> BetaResult:
+    """Bound threshold from endpoint data; mixed endpoints raise UnsupportedCaseError.
+
+    The degenerate case is closed-form; the increasing and decreasing cases
+    solve F(beta) = beta for the envelope-product distribution.
+    """
+    tag = classify_case(e, p)
+    if tag is CaseTag.DEGENERATE:
+        beta = (p.m * p.m) * 2.0 ** (2.0 - 2.0 * p.s) * (e.fa * e.ga)
+        return BetaResult(beta, 0.0, min(beta, base.length), tag, literal)
+    cfg = SolverConfig() if cfg is None else cfg
+    F = envelope_distribution(e, base, p, literal)
     w = base.b - p.m * base.a
-    hi = max(w * w, base.length)
-    res = solve_sup_threshold(F, 0.0, hi, cfg)
-    return BetaResult(res.value, res.residual, min(res.value, base.length), case, literal)
-
-
-def increasing_case_beta(
-    e: EndpointData,
-    base: Interval,
-    p: SMParams,
-    cfg: SolverConfig | None = None,
-    literal: bool = True,
-) -> BetaResult:
-    """Bound threshold when f(b) > m*f(a) and g(b) > m*g(a)."""
-    cfg = SolverConfig() if cfg is None else cfg
-    tag = classify_case(e, p)
-    if tag is not CaseTag.INCREASING:
-        raise CaseError(f"endpoint case is {tag.value}, need increasing")
-    F = increasing_distribution(e, base, p, literal)
-    return _solve_beta(F, base, p, cfg, tag, literal)
-
-
-def decreasing_case_beta(
-    e: EndpointData,
-    base: Interval,
-    p: SMParams,
-    cfg: SolverConfig | None = None,
-    literal: bool = True,
-) -> BetaResult:
-    """Bound threshold when f(b) < m*f(a) and g(b) < m*g(a)."""
-    cfg = SolverConfig() if cfg is None else cfg
-    tag = classify_case(e, p)
-    if tag is not CaseTag.DECREASING:
-        raise CaseError(f"endpoint case is {tag.value}, need decreasing")
-    F = decreasing_distribution(e, base, p, literal)
-    return _solve_beta(F, base, p, cfg, tag, literal)
-
-
-def increasing_beta_convex(
-    e: EndpointData,
-    base: Interval,
-    cfg: SolverConfig | None = None,
-) -> BetaResult:
-    """Plain-convex specialization (s = m = 1) of the increasing-case equation."""
-    cfg = SolverConfig() if cfg is None else cfg
-    if not (e.fb > e.fa and e.gb > e.ga):
-        raise CaseError("need f(b) > f(a) and g(b) > g(a)")
-    w = base.length
-    d_f = e.fb - e.fa
-    d_g = e.gb - e.ga
-
-    def F(beta: float) -> float:
-        len_f = w * (1.0 - _clamp01((beta - e.fa) / d_f))
-        len_g = w * (1.0 - _clamp01((beta - e.ga) / d_g))
-        return len_f * len_g
-
-    hi = max(w * w, w)
-    res = solve_sup_threshold(F, 0.0, hi, cfg)
-    return BetaResult(res.value, res.residual, min(res.value, w), CaseTag.INCREASING, True)
-
-
-def decreasing_beta_convex(
-    e: EndpointData,
-    base: Interval,
-    cfg: SolverConfig | None = None,
-) -> BetaResult:
-    """Plain-convex specialization (s = m = 1) of the decreasing-case equation."""
-    cfg = SolverConfig() if cfg is None else cfg
-    if not (e.fb < e.fa and e.gb < e.ga):
-        raise CaseError("need f(b) < f(a) and g(b) < g(a)")
-    w = base.length
-    d_f = e.fb - e.fa
-    d_g = e.gb - e.ga
-
-    def F(beta: float) -> float:
-        len_f = w * _clamp01((beta - e.fa) / d_f)
-        len_g = w * _clamp01((beta - e.ga) / d_g)
-        return len_f * len_g
-
-    hi = max(w * w, w)
-    res = solve_sup_threshold(F, 0.0, hi, cfg)
-    return BetaResult(res.value, res.residual, min(res.value, w), CaseTag.DECREASING, True)
-
-
-def degenerate_case_bound(e: EndpointData, base: Interval, p: SMParams) -> BetaResult:
-    """Closed-form bound when f(b) = m*f(a) and g(b) = m*g(a): both envelopes are flat."""
-    tag = classify_case(e, p)
-    if tag is not CaseTag.DEGENERATE:
-        raise CaseError(f"endpoint case is {tag.value}, need degenerate")
-    beta = (p.m * p.m) * 2.0 ** (2.0 - 2.0 * p.s) * (e.fa * e.ga)
-    return BetaResult(beta, 0.0, min(beta, base.length), tag, True)
+    res = solve_sup_threshold(F, 0.0, max(w * w, base.length), cfg)
+    return BetaResult(res.value, res.residual, min(res.value, base.length), tag, literal)
 
 
 def hadamard_bound(
@@ -269,19 +164,8 @@ def hadamard_bound(
     cfg: SolverConfig | None = None,
     literal: bool = True,
 ) -> BetaResult:
-    """Dispatch on the endpoint case; mixed cases raise UnsupportedCaseError."""
-    e = endpoint_data(f, g, base)
-    tag = classify_case(e, p)
-    if tag is CaseTag.INCREASING:
-        return increasing_case_beta(e, base, p, cfg, literal)
-    if tag is CaseTag.DECREASING:
-        return decreasing_case_beta(e, base, p, cfg, literal)
-    if tag is CaseTag.DEGENERATE:
-        return replace(degenerate_case_bound(e, base, p), literal_mode=literal)
-    raise UnsupportedCaseError(
-        "no bound for mixed endpoints: "
-        f"f(b)-m*f(a)={e.fb - p.m * e.fa!r}, g(b)-m*g(a)={e.gb - p.m * e.ga!r}"
-    )
+    """Bound threshold for f*g from the endpoint values of f and g."""
+    return endpoint_bound(endpoint_data(f, g, base), base, p, cfg, literal)
 
 
 @dataclass(frozen=True)

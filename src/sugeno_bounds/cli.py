@@ -32,15 +32,13 @@ from dataclasses import dataclass
 from .bounds import (
     BetaResult,
     VerificationReport,
-    decreasing_case_beta,
+    endpoint_bound,
     hadamard_bound,
-    increasing_case_beta,
     kirmaci_bound,
     verify_hadamard,
 )
 from .convexity import ConvexityVerdict, EndpointData, SMParams, check_sm_convex, envelope
 from .exceptions import (
-    CaseError,
     DomainError,
     EvalError,
     InvalidDistortionError,
@@ -52,13 +50,7 @@ from .exceptions import (
 from .expr import parse, product
 from .measure import Interval, MeasureSpec, distortion, lebesgue
 from .rootfind import SolverConfig
-from .sugeno import (
-    DEFAULT_GRID,
-    DistributionProfile,
-    IntegralResult,
-    sugeno_integral,
-    sugeno_integral_oracle,
-)
+from .sugeno import DEFAULT_GRID, IntegralResult, sugeno_integral
 
 __all__ = ["ReproduceRow", "reproduce", "emit_report", "build_parser", "run", "main"]
 
@@ -108,11 +100,12 @@ def _case_38() -> list[ReproduceRow]:
     p = SMParams(1.0, 1.0)
     integral = sugeno_integral(parse("x^2"), base)
     e = EndpointData(fa=1.0, fb=8.0, ga=1.0, gb=2.0)
-    beta = increasing_case_beta(e, base, p)
+    beta = endpoint_bound(e, base, p)
 
     # Residual of the published threshold in the bound equation, as printed
     # (no clamping), plus the sup-min of the true envelope-product
-    # distribution for context.  The published value solves neither.
+    # distribution for context.  The published value solves neither.  The
+    # envelope product is monotone, so its integral takes the exact path.
     published = 2.5302
     w = base.b - p.m * base.a
     inv_s = 1.0 / p.s
@@ -123,11 +116,11 @@ def _case_38() -> list[ReproduceRow]:
 
     env_f = envelope(e.fa, e.fb, base, p).as_expr()
     env_g = envelope(e.ga, e.gb, base, p).as_expr()
-    brute_force = sugeno_integral_oracle(product(env_f, env_g), base)
+    sup_min = sugeno_integral(product(env_f, env_g), base).value
     note = (
         f"published threshold does not solve the bound equation "
         f"(equation residual {equation_residual:.6g}); computed root {beta.beta:.6g}; "
-        f"sup-min of the true envelope-product distribution {brute_force:.6g}"
+        f"sup-min of the true envelope-product distribution {sup_min:.6g}"
     )
     return [
         _row("3.8", "sugeno integral of x^2 on [1,4]", 2.4384, integral.value),
@@ -140,7 +133,7 @@ def _case_39() -> list[ReproduceRow]:
     base = Interval(1.0, 2.0)
     integral = sugeno_integral(parse("1/x^4"), base)
     e = EndpointData(fa=1.0, fb=0.25, ga=1.0, gb=0.25)
-    beta = decreasing_case_beta(e, base, SMParams(1.0, 1.0))
+    beta = endpoint_bound(e, base, SMParams(1.0, 1.0))
     return [
         _row("3.9", "sugeno integral of 1/x^4 on [1,2]", 0.3247, integral.value),
         _row("3.9", "decreasing-case bound threshold", 0.4802, beta.beta),
@@ -246,15 +239,6 @@ def emit_report(report, fmt: str = "text") -> str:
     """Render any report object in the requested format, deterministically."""
     if fmt not in _FORMATS:
         raise _UsageError(f"unknown format {fmt!r}")
-
-    if isinstance(report, DistributionProfile):
-        if fmt == "csv":
-            return _csv_text(["alpha", "F"], [[a, v] for a, v in report.samples])
-        if fmt == "json":
-            return json.dumps({"alpha": list(report.alphas()), "F": list(report.values())})
-        lines = [f"{'alpha':>14}  {'F':>14}"]
-        lines += [f"{_fmt6(a):>14}  {_fmt6(v):>14}" for a, v in report.samples]
-        return "\n".join(lines)
 
     if isinstance(report, list) and all(isinstance(r, ReproduceRow) for r in report):
         dicts = [
@@ -436,7 +420,7 @@ def run(argv=None) -> int:
     except (ParseError, _UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedCaseError, CaseError, DomainError, NegativeFunctionError,
+    except (UnsupportedCaseError, DomainError, NegativeFunctionError,
             PreconditionError, EvalError, InvalidDistortionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, EvalError
 from .expr import FunctionExpr, evaluate, evaluate_array, parse
 from .measure import Interval
 
@@ -28,17 +28,15 @@ __all__ = [
     "ConvexityVerdict",
     "EndpointData",
     "EnvelopeFunction",
-    "EnvelopeCheck",
     "check_sm_convex",
     "power_sum_gap",
     "envelope",
-    "check_envelope_dominates",
     "endpoint_data",
 ]
 
 DEFAULT_LATTICE = 41
+MAX_LATTICE = 201
 _CONVEXITY_SLACK = 1e-12
-DOMINANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,11 @@ def check_sm_convex(
 
     Combination points can fall outside [a, b] when m < 1; the inequality is
     tested wherever f evaluates, and non-evaluable combinations are skipped
-    and counted.  The witness, when present, is the maximum-gap violation.
+    and counted; if every combination is skipped, EvalError is raised.  The
+    witness, when present, is the maximum-gap violation.
     """
-    if grid < 11:
-        raise ValueError("grid must be at least 11 points per axis")
+    if not 11 <= grid <= MAX_LATTICE:
+        raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
     xs = np.linspace(base.a, base.b, grid)
     lams = np.linspace(0.0, 1.0, grid)
     f_ends = evaluate_array(f, xs)
@@ -121,6 +120,8 @@ def check_sm_convex(
         & np.isfinite(f_ends)[None, :, None]
     )
     skipped = int(lhs.size - np.count_nonzero(valid))
+    if skipped == lhs.size:
+        raise EvalError(f"f is not evaluable at any of the {skipped} lattice combinations")
     gaps = np.where(valid, lhs - rhs, -np.inf)
     flat = int(np.argmax(gaps))
     worst = float(gaps.flat[flat])
@@ -189,30 +190,3 @@ def envelope(fa: float, fb: float, base: Interval, p: SMParams) -> EnvelopeFunct
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError("endpoint values must be finite")
     return EnvelopeFunction(fa, fb, base, p)
-
-
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    holds: bool
-    witness: tuple[float, float, float] | None  # (x, f(x), envelope(x))
-
-
-def check_envelope_dominates(
-    f: FunctionExpr,
-    fa: float,
-    fb: float,
-    base: Interval,
-    p: SMParams,
-    grid: int = 10001,
-    tol: float = DOMINANCE_TOL,
-) -> EnvelopeCheck:
-    """Grid check that the endpoint envelope dominates f on [a, b]."""
-    env = envelope(fa, fb, base, p)
-    xs = np.linspace(base.a, base.b, grid)
-    f_vals = evaluate_array(f, xs)
-    e_vals = env.values(xs)
-    excess = np.where(np.isfinite(f_vals) & np.isfinite(e_vals), f_vals - e_vals, -np.inf)
-    i = int(np.argmax(excess))
-    if float(excess[i]) > tol:
-        return EnvelopeCheck(False, (float(xs[i]), float(f_vals[i]), float(e_vals[i])))
-    return EnvelopeCheck(True, None)

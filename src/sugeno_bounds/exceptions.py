@@ -9,7 +9,6 @@ __all__ = [
     "DomainError",
     "NegativeFunctionError",
     "PreconditionError",
-    "CaseError",
     "UnsupportedCaseError",
     "InvalidDistortionError",
 ]
@@ -57,12 +56,8 @@ class PreconditionError(Exception):
         self.witness = witness
 
 
-class CaseError(Exception):
-    """An endpoint-case-specific solver was called on the wrong case."""
-
-
 class UnsupportedCaseError(Exception):
-    """The endpoint configuration admits no supported bound (mixed case)."""
+    """The endpoint configuration admits no supported bound or distribution."""
 
 
 class InvalidDistortionError(Exception):

@@ -35,7 +35,6 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_array",
-    "to_text",
     "constant",
     "variable",
     "product",
@@ -320,31 +319,11 @@ def evaluate_array(f: FunctionExpr, xs) -> np.ndarray:
     return out
 
 
-def _fmt(node: Node) -> str:
-    if isinstance(node, Num):
-        text = repr(node.value)
-        return text if node.value >= 0.0 else f"({text})"
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        return f"(-{_fmt(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({_fmt(node.left)}{node.op}{_fmt(node.right)})"
-    args = ",".join(_fmt(a) for a in node.args)
-    return f"{node.name}({args})"
-
-
-def to_text(f: FunctionExpr) -> str:
-    """Canonical fully-parenthesized form; parses back to an equivalent tree."""
-    return _fmt(f.root)
-
-
 def constant(value: float) -> FunctionExpr:
     v = float(value)
     if not math.isfinite(v):
         raise ValueError("constant must be finite")
-    node = Num(v)
-    return FunctionExpr(node, _fmt(node))
+    return FunctionExpr(Num(v), repr(v))
 
 
 def variable() -> FunctionExpr:
@@ -353,5 +332,4 @@ def variable() -> FunctionExpr:
 
 def product(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:
     """Pointwise product of two parsed expressions."""
-    node = BinOp("*", f.root, g.root)
-    return FunctionExpr(node, _fmt(node))
+    return FunctionExpr(BinOp("*", f.root, g.root), f"({f.source_text})*({g.source_text})")

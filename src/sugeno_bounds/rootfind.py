@@ -9,6 +9,7 @@ for continuous sign changes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -31,8 +32,8 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

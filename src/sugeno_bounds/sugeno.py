@@ -5,12 +5,9 @@ The Sugeno integral over a base interval X is
     sup over alpha >= 0 of min(alpha, F(alpha)),   F(alpha) = mu({x in X : f(x) >= alpha}),
 
 and F is non-increasing, so the sup is the threshold where F crosses the
-diagonal.  Two independent routes compute it:
+diagonal.  It is computed by bisecting on the predicate F(alpha) >= alpha.
 
-* a fixed-point route bisecting on the predicate F(alpha) >= alpha, and
-* a brute-force grid scan over an alpha lattice (the oracle).
-
-Both sample the integrand on a shared x grid.  When the sampled values are
+The integrand is sampled on an x grid.  When the sampled values are
 monotone, the level-set boundary is refined by bisection and the level set
 is an exact interval; otherwise the measure falls back to grid counting.
 Grid points where the integrand is not evaluable are excluded from level
@@ -36,14 +33,13 @@ __all__ = [
     "IntegralResult",
     "DistributionProfile",
     "PropertyReport",
-    "level_set_measure",
     "sugeno_integral",
-    "sugeno_integral_oracle",
     "distribution_profile",
     "check_proposition_properties",
 ]
 
 DEFAULT_GRID = 100001
+MAX_GRID = 10**7
 PROPERTY_TOL = 1e-6
 MAX_EXCLUDED_FRACTION = 0.001
 _MIN_GRID = 101
@@ -54,7 +50,7 @@ _GAMMA_PROBES = 10
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
-    method: str  # "fixed_point" | "grid_scan"
+    method: str  # always "fixed_point"
     residual: float
     alpha_bracket: tuple[float, float]
     grid_points: int | None = None
@@ -84,8 +80,8 @@ class _LevelSets:
         grid: int,
         require_nonnegative: bool = False,
     ):
-        if grid < _MIN_GRID:
-            raise ValueError(f"grid must be at least {_MIN_GRID} points")
+        if not _MIN_GRID <= grid <= MAX_GRID:
+            raise ValueError(f"grid must be between {_MIN_GRID} and {MAX_GRID} points, got {grid}")
         self.f = f
         self.base = base
         self.spec = spec
@@ -173,18 +169,6 @@ class _LevelSets:
         return evaluate(self.spec.phi, length)
 
 
-def level_set_measure(
-    f: FunctionExpr,
-    base: Interval,
-    alpha: float,
-    spec: MeasureSpec | None = None,
-    grid: int = DEFAULT_GRID,
-) -> float:
-    """Measure of the level set {x in base : f(x) >= alpha}."""
-    spec = lebesgue() if spec is None else spec
-    return _LevelSets(f, base, spec, grid).measure(alpha)
-
-
 def _integral_from_levels(levels: _LevelSets, cfg: SolverConfig) -> IntegralResult:
     mu_total = measure_of(levels.spec, levels.base)
     res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
@@ -204,41 +188,6 @@ def sugeno_integral(
     cfg = SolverConfig() if cfg is None else cfg
     levels = _LevelSets(f, base, spec, grid, require_nonnegative=True)
     return _integral_from_levels(levels, cfg)
-
-
-def sugeno_integral_oracle(
-    f: FunctionExpr,
-    base: Interval,
-    spec: MeasureSpec | None = None,
-    n_alpha: int = DEFAULT_GRID,
-    grid: int = DEFAULT_GRID,
-) -> float:
-    """Brute-force sup-min over an alpha lattice; independent of the bisection route."""
-    spec = lebesgue() if spec is None else spec
-    if n_alpha < 1000:
-        raise ValueError("n_alpha must be at least 1000")
-    if grid < _MIN_GRID:
-        raise ValueError(f"grid must be at least {_MIN_GRID} points")
-    xs = np.linspace(base.a, base.b, grid)
-    vals = evaluate_array(f, xs)
-    bad = np.isnan(vals)
-    n_excluded = int(np.count_nonzero(bad))
-    if n_excluded >= MAX_EXCLUDED_FRACTION * grid:
-        raise EvalError(f"integrand is not evaluable at {n_excluded} of {grid} grid points")
-    i_min = int(np.nanargmin(vals))
-    if float(vals[i_min]) < -_NEG_SLACK:
-        raise NegativeFunctionError(float(xs[i_min]), float(vals[i_min]))
-
-    sorted_vals = np.sort(vals[~bad])
-    mu_total = measure_of(spec, base)
-    alphas = np.linspace(0.0, mu_total, n_alpha)
-    counts = sorted_vals.size - np.searchsorted(sorted_vals, alphas, side="left")
-    lengths = (counts / grid) * base.length
-    if spec.kind == "lebesgue":
-        f_hat = lengths
-    else:
-        f_hat = evaluate_array(spec.phi, lengths)
-    return float(np.max(np.minimum(alphas, f_hat)))
 
 
 def distribution_profile(

@@ -17,14 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from sugeno_bounds.bounds import (
-    decreasing_beta_convex,
-    decreasing_case_beta,
-    degenerate_case_bound,
-    increasing_beta_convex,
-    increasing_case_beta,
-    verify_hadamard,
-)
+from reference import decreasing_beta_convex, increasing_beta_convex, sugeno_integral_oracle
+from sugeno_bounds.bounds import endpoint_bound, verify_hadamard
 from sugeno_bounds.cli import reproduce, run
 from sugeno_bounds.convexity import (
     EndpointData,
@@ -38,9 +32,8 @@ from sugeno_bounds.measure import Interval, distortion, lebesgue, verify_fuzzy_m
 from sugeno_bounds.rootfind import SolverConfig
 from sugeno_bounds.sugeno import (
     check_proposition_properties,
-    level_set_measure,
+    distribution_profile,
     sugeno_integral,
-    sugeno_integral_oracle,
 )
 
 TIGHT = SolverConfig(tol=1e-14)
@@ -114,7 +107,7 @@ def test_criterion2_square_case_and_flagged_threshold():
 
     # product-of-lengths equation 9(8-b)(2-b)/7 = b: root (97-65)/18 = 16/9
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
-    res = increasing_case_beta(e, base, SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, base, SMParams(1.0, 1.0), TIGHT)
     want_beta = (97.0 - math.sqrt(97.0 * 97.0 - 4.0 * 9.0 * 144.0)) / 18.0
     checks += [res.residual <= 1e-9, abs(res.beta - want_beta) <= 1e-6]
 
@@ -218,8 +211,8 @@ def test_criterion5_integral_properties():
                       (constant(k), report.integral_k)):
             eps = 1e-9
             if v > eps:
-                got = level_set_measure(fn, base, v - eps, grid=10001)
-                if not got >= v - eps:
+                prof = distribution_profile(fn, base, alphas=(v - eps,), grid=10001)
+                if not prof.values()[0] >= v - eps:
                     bad += 1
     for _ in range(20):
         a = rng.uniform(0.0, 4.0)
@@ -252,14 +245,14 @@ def test_criterion7_convex_specialization_agreement():
         box = box_of()
         fa, ga = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
         e = EndpointData(fa, fa + rng.uniform(0.1, 6.0), ga, ga + rng.uniform(0.1, 6.0))
-        d = abs(increasing_case_beta(e, box, p, TIGHT).beta
+        d = abs(endpoint_bound(e, box, p, TIGHT).beta
                 - increasing_beta_convex(e, box, TIGHT).beta)
         worst = max(worst, d)
     for _ in range(50):
         box = box_of()
         fb, gb = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
         e = EndpointData(fb + rng.uniform(0.1, 6.0), fb, gb + rng.uniform(0.1, 6.0), gb)
-        d = abs(decreasing_case_beta(e, box, p, TIGHT).beta
+        d = abs(endpoint_bound(e, box, p, TIGHT).beta
                 - decreasing_beta_convex(e, box, TIGHT).beta)
         worst = max(worst, d)
     exact = 0
@@ -267,7 +260,7 @@ def test_criterion7_convex_specialization_agreement():
         box = box_of()
         v, u = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
         e = EndpointData(v, v, u, u)
-        beta = degenerate_case_bound(e, box, p).beta
+        beta = endpoint_bound(e, box, p).beta
         if beta == (1.0 * 1.0) * 2.0 ** (2.0 - 2.0 * 1.0) * (v * u):
             exact += 1
     return worst <= 1e-12 and exact == 20, (

@@ -9,22 +9,18 @@ import math
 
 import pytest
 
+from reference import decreasing_beta_convex, increasing_beta_convex
 from sugeno_bounds.bounds import (
     CaseTag,
     classify_case,
-    decreasing_beta_convex,
-    decreasing_case_beta,
-    decreasing_distribution,
-    degenerate_case_bound,
+    endpoint_bound,
+    envelope_distribution,
     hadamard_bound,
-    increasing_beta_convex,
-    increasing_case_beta,
-    increasing_distribution,
     kirmaci_bound,
     verify_hadamard,
 )
 from sugeno_bounds.convexity import EndpointData, SMParams
-from sugeno_bounds.exceptions import CaseError, DomainError, UnsupportedCaseError
+from sugeno_bounds.exceptions import DomainError, UnsupportedCaseError
 from sugeno_bounds.expr import parse
 from sugeno_bounds.measure import Interval
 from sugeno_bounds.rootfind import SolverConfig
@@ -87,7 +83,7 @@ def test_increasing_case_quadratic_root():
     # f: 1 -> 8, g: 1 -> 2 on [1,4], s=m=1.
     # 9(8-b)(2-b)/7 = b gives 9b^2 - 97b + 144 = 0, small root (97-65)/18 = 16/9
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
-    res = increasing_case_beta(e, Interval(1.0, 4.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(1.0, 4.0), SMParams(1.0, 1.0), TIGHT)
     assert res.beta == pytest.approx(16.0 / 9.0, abs=1e-9)
     assert res.bound == pytest.approx(16.0 / 9.0, abs=1e-9)
     assert res.case is CaseTag.INCREASING
@@ -98,7 +94,7 @@ def test_decreasing_case_quadratic_root():
     # f and g both 1 -> 1/4 on [1,2], s=m=1.
     # ((1-b)/0.75)^2 = b gives 16b^2 - 41b + 16 = 0, root (41-sqrt(657))/32
     e = EndpointData(1.0, 0.25, 1.0, 0.25)
-    res = decreasing_case_beta(e, Interval(1.0, 2.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(1.0, 2.0), SMParams(1.0, 1.0), TIGHT)
     want = (41.0 - math.sqrt(657.0)) / 32.0
     assert res.beta == pytest.approx(want, abs=1e-9)
     assert res.case is CaseTag.DECREASING
@@ -107,38 +103,38 @@ def test_decreasing_case_quadratic_root():
 def test_increasing_case_unit_endpoints():
     # f and g both 0 -> 1 on [0,1]: (1-b)^2 = b, root (3-sqrt(5))/2
     e = EndpointData(0.0, 1.0, 0.0, 1.0)
-    res = increasing_case_beta(e, Interval(0.0, 1.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(0.0, 1.0), SMParams(1.0, 1.0), TIGHT)
     assert res.beta == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-9)
 
 
 def test_decreasing_case_exact_tie_root():
     # f and g both 2 -> 1 on [0,1]: F(b) = (2-b)^2 on [1,2], fixed point exactly 1
     e = EndpointData(2.0, 1.0, 2.0, 1.0)
-    res = decreasing_case_beta(e, Interval(0.0, 1.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(0.0, 1.0), SMParams(1.0, 1.0), TIGHT)
     assert res.beta == pytest.approx(1.0, abs=1e-9)
     assert res.bound == pytest.approx(1.0, abs=1e-9)
 
 
 def test_wrong_case_raises():
-    inc = EndpointData(1.0, 8.0, 1.0, 2.0)
-    dec = EndpointData(1.0, 0.25, 1.0, 0.25)
+    # only the increasing and decreasing cases have an envelope distribution;
+    # the degenerate bound is closed-form and the mixed case has none
     box, p = Interval(1.0, 4.0), SMParams(1.0, 1.0)
-    with pytest.raises(CaseError):
-        increasing_case_beta(dec, box, p)
-    with pytest.raises(CaseError):
-        decreasing_case_beta(inc, box, p)
-    with pytest.raises(CaseError):
-        degenerate_case_bound(inc, box, p)
+    with pytest.raises(UnsupportedCaseError):
+        envelope_distribution(EndpointData(2.0, 2.0, 3.0, 3.0), box, p)
+    with pytest.raises(UnsupportedCaseError):
+        envelope_distribution(EndpointData(1.0, 8.0, 1.0, 0.25), box, p)
+    with pytest.raises(UnsupportedCaseError):
+        endpoint_bound(EndpointData(1.0, 8.0, 1.0, 0.25), box, p)
 
 
 def test_degenerate_closed_form():
     e = EndpointData(2.0, 2.0, 3.0, 3.0)
-    res = degenerate_case_bound(e, Interval(0.0, 10.0), SMParams(1.0, 1.0))
+    res = endpoint_bound(e, Interval(0.0, 10.0), SMParams(1.0, 1.0))
     assert res.beta == 6.0
     assert res.bound == 6.0
     assert res.residual == 0.0
     # same numbers, smaller interval: bound saturates at the length
-    res2 = degenerate_case_bound(e, Interval(0.0, 2.0), SMParams(1.0, 1.0))
+    res2 = endpoint_bound(e, Interval(0.0, 2.0), SMParams(1.0, 1.0))
     assert res2.beta == 6.0
     assert res2.bound == 2.0
 
@@ -146,21 +142,21 @@ def test_degenerate_closed_form():
 def test_degenerate_scales_with_s_and_m():
     e = EndpointData(2.0, 1.0, 3.0, 1.5)
     p = SMParams(0.5, 0.5)
-    res = degenerate_case_bound(e, Interval(0.0, 100.0), p)
+    res = endpoint_bound(e, Interval(0.0, 100.0), p)
     assert res.beta == (0.5 * 0.5) * 2.0 ** (2.0 - 2.0 * 0.5) * (2.0 * 3.0)
 
 
 def test_degenerate_unit_and_zero_and_capped():
-    one = degenerate_case_bound(EndpointData(1.0, 1.0, 1.0, 1.0),
-                                Interval(0.0, 1.0), SMParams(1.0, 1.0))
+    one = endpoint_bound(EndpointData(1.0, 1.0, 1.0, 1.0),
+                         Interval(0.0, 1.0), SMParams(1.0, 1.0))
     assert one.beta == 1.0 and one.bound == 1.0
     # fa=2, ga=3, s=1/2: 2^(2-1) * 6 = 12, capped by the length 2
-    wide = degenerate_case_bound(EndpointData(2.0, 2.0, 3.0, 3.0),
-                                 Interval(0.0, 2.0), SMParams(0.5, 1.0))
+    wide = endpoint_bound(EndpointData(2.0, 2.0, 3.0, 3.0),
+                          Interval(0.0, 2.0), SMParams(0.5, 1.0))
     assert wide.beta == pytest.approx(12.0, rel=1e-15)
     assert wide.bound == 2.0
-    zero = degenerate_case_bound(EndpointData(0.0, 0.0, 0.0, 0.0),
-                                 Interval(0.0, 1.0), SMParams(0.7, 0.9))
+    zero = endpoint_bound(EndpointData(0.0, 0.0, 0.0, 0.0),
+                          Interval(0.0, 1.0), SMParams(0.7, 0.9))
     assert zero.beta == 0.0 and zero.bound == 0.0
 
 
@@ -168,21 +164,21 @@ def test_convex_specialization_matches_general_exactly():
     box = Interval(1.0, 4.0)
     p = SMParams(1.0, 1.0)
     inc = EndpointData(1.0, 8.0, 1.0, 2.0)
-    general = increasing_case_beta(inc, box, p, TIGHT)
+    general = endpoint_bound(inc, box, p, TIGHT)
     special = increasing_beta_convex(inc, box, TIGHT)
     assert general.beta == special.beta  # same ops in the same order
 
     dec = EndpointData(5.0, 1.0, 3.0, 0.5)
-    general = decreasing_case_beta(dec, box, p, TIGHT)
+    general = endpoint_bound(dec, box, p, TIGHT)
     special = decreasing_beta_convex(dec, box, TIGHT)
     assert general.beta == special.beta
 
 
 def test_convex_specialization_case_guards():
     box = Interval(0.0, 1.0)
-    with pytest.raises(CaseError):
+    with pytest.raises(ValueError):
         increasing_beta_convex(EndpointData(2.0, 1.0, 2.0, 1.0), box)
-    with pytest.raises(CaseError):
+    with pytest.raises(ValueError):
         decreasing_beta_convex(EndpointData(1.0, 2.0, 1.0, 2.0), box)
 
 
@@ -190,7 +186,7 @@ def test_distribution_value_at_left_edge():
     # below both envelope offsets the distribution is the full square w*w
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
     box = Interval(1.0, 4.0)
-    F = increasing_distribution(e, box, SMParams(1.0, 1.0))
+    F = envelope_distribution(e, box, SMParams(1.0, 1.0))
     assert F(1.0) == 9.0
     assert F(0.0) == 9.0
     assert F(2.0) == 0.0  # g's factor hits zero at its top value
@@ -199,8 +195,8 @@ def test_distribution_value_at_left_edge():
 def test_residual_certificate_both_sides():
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
     box = Interval(1.0, 4.0)
-    res = increasing_case_beta(e, box, SMParams(1.0, 1.0), TIGHT)
-    F = increasing_distribution(e, box, SMParams(1.0, 1.0))
+    res = endpoint_bound(e, box, SMParams(1.0, 1.0), TIGHT)
+    F = envelope_distribution(e, box, SMParams(1.0, 1.0))
     eps = 1e-9
     assert F(res.beta - eps) >= res.beta - eps
     assert F(res.beta + eps) < res.beta + eps
@@ -210,8 +206,8 @@ def test_literal_equals_clamped_when_m_is_one():
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
     box = Interval(1.0, 4.0)
     p = SMParams(0.7, 1.0)
-    lit = increasing_case_beta(e, box, p, TIGHT, literal=True)
-    cl = increasing_case_beta(e, box, p, TIGHT, literal=False)
+    lit = endpoint_bound(e, box, p, TIGHT, literal=True)
+    cl = endpoint_bound(e, box, p, TIGHT, literal=False)
     assert lit.beta == cl.beta
     assert lit.literal_mode and not cl.literal_mode
 
@@ -222,8 +218,8 @@ def test_literal_and_clamped_differ_when_m_below_one():
     e = EndpointData(2.0, 20.0, 2.0, 2.2)
     box = Interval(1.0, 2.0)
     p = SMParams(1.0, 0.9)
-    lit = increasing_case_beta(e, box, p, TIGHT, literal=True)
-    cl = increasing_case_beta(e, box, p, TIGHT, literal=False)
+    lit = endpoint_bound(e, box, p, TIGHT, literal=True)
+    cl = endpoint_bound(e, box, p, TIGHT, literal=False)
     assert lit.beta == pytest.approx(1.1 * 1.1, abs=1e-9)
     assert cl.beta == pytest.approx(1.0, abs=1e-9)
     assert lit.bound == pytest.approx(1.0, abs=1e-9)  # min(beta, b-a) still caps
@@ -236,8 +232,8 @@ def test_decreasing_literal_shift_negative_lengths():
     e = EndpointData(4.0, 1.0, 4.0, 1.0)
     box = Interval(1.0, 2.0)
     p = SMParams(1.0, 0.5)
-    F_lit = decreasing_distribution(e, box, p, literal=True)
-    F_cl = decreasing_distribution(e, box, p, literal=False)
+    F_lit = envelope_distribution(e, box, p, literal=True)
+    F_cl = envelope_distribution(e, box, p, literal=False)
     assert F_lit(3.0) == pytest.approx(0.25)  # (-0.5) * (-0.5)
     assert F_cl(3.0) == 0.0
     # below the envelope bottom both modes report the full base length

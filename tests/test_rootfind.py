@@ -90,6 +90,9 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)
 
 
 def test_sign_change_linear():

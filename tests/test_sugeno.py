@@ -10,6 +10,7 @@ import warnings
 import mpmath
 import pytest
 
+from reference import sugeno_integral_oracle
 from sugeno_bounds.exceptions import (
     EvalError,
     NegativeFunctionError,
@@ -19,11 +20,10 @@ from sugeno_bounds.expr import parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
 from sugeno_bounds.sugeno import (
+    MAX_GRID,
     check_proposition_properties,
     distribution_profile,
-    level_set_measure,
     sugeno_integral,
-    sugeno_integral_oracle,
 )
 
 mpmath.mp.dps = 50
@@ -96,6 +96,16 @@ def test_oracle_linear_and_zero():
     assert sugeno_integral_oracle(parse("0"), Interval(0.0, 1.0)) == 0.0
 
 
+def test_grid_cap_checked_before_allocation(no_grid_alloc):
+    f, box = parse("x"), Interval(0.0, 1.0)
+    with pytest.raises(ValueError):
+        sugeno_integral(f, box, grid=MAX_GRID + 1)
+    with pytest.raises(ValueError):
+        distribution_profile(f, box, alphas=(0.5,), grid=MAX_GRID + 1)
+    with pytest.raises(ValueError):
+        check_proposition_properties(f, f, 0.5, box, grid=MAX_GRID + 1)
+
+
 def test_non_monotone_integrand():
     # tent 1/2-|x-1/2| on [0,1]: F(a) = 1-2a, fixed point 1/3
     res = sugeno_integral(parse("1/2-abs(x-1/2)"), Interval(0.0, 1.0), grid=40001)
@@ -103,15 +113,20 @@ def test_non_monotone_integrand():
     assert res.grid_points == 40001  # counting path reports its grid
 
 
+def _level_set_measure(f, base, alpha):
+    return distribution_profile(f, base, alphas=(alpha,)).values()[0]
+
+
 def test_level_set_measure():
-    assert level_set_measure(parse("x^2"), Interval(1.0, 4.0), 4.0) == pytest.approx(2.0, abs=1e-9)
-    assert level_set_measure(parse("x^2"), Interval(1.0, 4.0), 0.5) == 3.0
-    assert level_set_measure(parse("x^2"), Interval(1.0, 4.0), 17.0) == 0.0
-    assert level_set_measure(parse("x"), Interval(0.0, 1.0), 0.3) == pytest.approx(0.7, abs=1e-9)
+    box = Interval(1.0, 4.0)
+    assert _level_set_measure(parse("x^2"), box, 4.0) == pytest.approx(2.0, abs=1e-9)
+    assert _level_set_measure(parse("x^2"), box, 0.5) == 3.0
+    assert _level_set_measure(parse("x^2"), box, 17.0) == 0.0
+    assert _level_set_measure(parse("x"), Interval(0.0, 1.0), 0.3) == pytest.approx(0.7, abs=1e-9)
     # boundary of {x^5/4 >= 0.1} is (0.4)^(1/5)
-    got = level_set_measure(parse("x^5/4"), Interval(0.0, 1.0), 0.1)
+    got = _level_set_measure(parse("x^5/4"), Interval(0.0, 1.0), 0.1)
     assert got == pytest.approx(1.0 - 0.4**0.2, abs=1e-5)
-    assert level_set_measure(parse("1/2"), Interval(0.0, 2.0), 0.6) == 0.0
+    assert _level_set_measure(parse("1/2"), Interval(0.0, 2.0), 0.6) == 0.0
 
 
 def test_distribution_profile_square():
