@@ -67,15 +67,15 @@ class BetaResult:
     literal_mode: bool
 
 
-def classify_case(e: EndpointData, p: SMParams, tie_tol: float = CASE_TIE_TOL) -> CaseTag:
-    """Compare f(b) with m*f(a) and g(b) with m*g(a), with a tie tolerance."""
+def classify_case(e: EndpointData, p: SMParams) -> CaseTag:
+    """Compare f(b) with m*f(a) and g(b) with m*g(a), with ties up to CASE_TIE_TOL."""
     df = e.fb - p.m * e.fa
     dg = e.gb - p.m * e.ga
-    if abs(df) <= tie_tol and abs(dg) <= tie_tol:
+    if abs(df) <= CASE_TIE_TOL and abs(dg) <= CASE_TIE_TOL:
         return CaseTag.DEGENERATE
-    if df > tie_tol and dg > tie_tol:
+    if df > CASE_TIE_TOL and dg > CASE_TIE_TOL:
         return CaseTag.INCREASING
-    if df < -tie_tol and dg < -tie_tol:
+    if df < -CASE_TIE_TOL and dg < -CASE_TIE_TOL:
         return CaseTag.DECREASING
     return CaseTag.MIXED
 
@@ -90,14 +90,6 @@ def kirmaci_bound(e: EndpointData, s: float) -> float:
     m_term = e.fa * e.ga + e.fb * e.gb
     n_term = e.fa * e.gb + e.fb * e.ga
     return m_term / (s + 2.0) + n_term / ((s + 1.0) * (s + 2.0))
-
-
-def _clamp01(q: float) -> float:
-    return 0.0 if q < 0.0 else (1.0 if q > 1.0 else q)
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else (hi if v > hi else v)
 
 
 def envelope_distribution(
@@ -123,9 +115,9 @@ def envelope_distribution(
     factor_g = (p.m * c * e.ga, e.gb - p.m * e.ga)
 
     def factor_length(beta: float, edge: float, d: float) -> float:
-        q = _clamp01((beta - edge) / d) ** inv_s
+        q = min(max((beta - edge) / d, 0.0), 1.0) ** inv_s
         length = w * (1.0 - q) if increasing else w * q + shift
-        return length if literal else _clamp(length, 0.0, cap)
+        return length if literal else min(max(length, 0.0), cap)
 
     def F(beta: float) -> float:
         return factor_length(beta, *factor_f) * factor_length(beta, *factor_g)
@@ -175,19 +167,6 @@ class VerificationReport:
     kirmaci: float
     holds: bool   # margin >= -1e-6
     margin: float  # bound - integral
-
-    def to_json_dict(self) -> dict:
-        return {
-            "integral": self.integral.value,
-            "beta": self.hadamard.beta,
-            "bound": self.hadamard.bound,
-            "kirmaci": self.kirmaci,
-            "case": self.hadamard.case.value,
-            "holds": self.holds,
-            "margin": self.margin,
-            "literal_mode": self.hadamard.literal_mode,
-            "residual": self.hadamard.residual,
-        }
 
 
 def verify_hadamard(

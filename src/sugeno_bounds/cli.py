@@ -14,8 +14,10 @@ run, full precision), csv (constant column count).  Identical invocations
 produce byte-identical stdout.
 
 Exit codes: 0 success; 1 a verified inequality failed under
---fail-on-violation; 2 usage or expression parse errors; 3 unsupported
-endpoint case or precondition failure.  The environment variable
+--fail-on-violation; 2 usage or expression parse errors (an expression
+nested deeper than ``expr.MAX_DEPTH`` levels is a parse error); 3 unsupported
+endpoint case, domain violation, evaluation failure, or a solver bracket
+that does not enclose a solution.  The environment variable
 ``SUGENO_GRID_N`` overrides the default integration grid size.
 """
 
@@ -27,7 +29,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import (
     BetaResult,
@@ -39,12 +41,12 @@ from .bounds import (
 )
 from .convexity import ConvexityVerdict, EndpointData, SMParams, check_sm_convex, envelope
 from .exceptions import (
+    BracketError,
     DomainError,
     EvalError,
     InvalidDistortionError,
     NegativeFunctionError,
     ParseError,
-    PreconditionError,
     UnsupportedCaseError,
 )
 from .expr import parse, product
@@ -75,6 +77,9 @@ class ReproduceRow:
     abs_diff: float
     verdict: str
     note: str = ""
+
+
+_REPRODUCE_HEADER = tuple(f.name for f in fields(ReproduceRow))
 
 
 def _row(case_id, quantity, golden, computed, verdict=None, note=""):
@@ -114,9 +119,8 @@ def _case_38() -> list[ReproduceRow]:
     lhs = (w * (1.0 - q_f**inv_s)) * (w * (1.0 - q_g**inv_s))
     equation_residual = abs(lhs - published)
 
-    env_f = envelope(e.fa, e.fb, base, p).as_expr()
-    env_g = envelope(e.ga, e.gb, base, p).as_expr()
-    sup_min = sugeno_integral(product(env_f, env_g), base).value
+    env_fg = product(envelope(e.fa, e.fb, base, p), envelope(e.ga, e.gb, base, p))
+    sup_min = sugeno_integral(env_fg, base).value
     note = (
         f"published threshold does not solve the bound equation "
         f"(equation residual {equation_residual:.6g}); computed root {beta.beta:.6g}; "
@@ -209,7 +213,17 @@ def _report_fields(report) -> list[tuple[str, object]]:
             ("literal_mode", report.literal_mode),
         ]
     if isinstance(report, VerificationReport):
-        return list(report.to_json_dict().items())
+        return [
+            ("integral", report.integral.value),
+            ("beta", report.hadamard.beta),
+            ("bound", report.hadamard.bound),
+            ("kirmaci", report.kirmaci),
+            ("case", report.hadamard.case.value),
+            ("holds", report.holds),
+            ("margin", report.margin),
+            ("literal_mode", report.hadamard.literal_mode),
+            ("residual", report.hadamard.residual),
+        ]
     if isinstance(report, ConvexityVerdict):
         witness = report.witness or (None, None, None, None)
         return [
@@ -224,39 +238,16 @@ def _report_fields(report) -> list[tuple[str, object]]:
     raise TypeError(f"cannot emit a report for {type(report).__name__}")
 
 
-_REPRODUCE_HEADER = (
-    "case_id",
-    "quantity",
-    "paper_value",
-    "computed_value",
-    "abs_diff",
-    "verdict",
-    "note",
-)
-
-
 def emit_report(report, fmt: str = "text") -> str:
     """Render any report object in the requested format, deterministically."""
     if fmt not in _FORMATS:
         raise _UsageError(f"unknown format {fmt!r}")
 
     if isinstance(report, list) and all(isinstance(r, ReproduceRow) for r in report):
-        dicts = [
-            {
-                "case_id": r.case_id,
-                "quantity": r.quantity,
-                "paper_value": r.paper_value,
-                "computed_value": r.computed_value,
-                "abs_diff": r.abs_diff,
-                "verdict": r.verdict,
-                "note": r.note,
-            }
-            for r in report
-        ]
         if fmt == "json":
-            return json.dumps({"rows": dicts})
+            return json.dumps({"rows": [asdict(r) for r in report]})
         if fmt == "csv":
-            return _csv_text(_REPRODUCE_HEADER, [[d[k] for k in _REPRODUCE_HEADER] for d in dicts])
+            return _csv_text(_REPRODUCE_HEADER, [astuple(r) for r in report])
         header = ("case", "quantity", "expected", "computed", "diff", "verdict")
         cells = [header] + [
             (r.case_id, r.quantity, _fmt6(r.paper_value), _fmt6(r.computed_value),
@@ -269,12 +260,12 @@ def emit_report(report, fmt: str = "text") -> str:
         notes = [f"note [{r.case_id}]: {r.note}" for r in report if r.note]
         return "\n".join(lines + notes)
 
-    fields = _report_fields(report)
+    pairs = _report_fields(report)
     if fmt == "json":
-        return json.dumps(dict(fields))
+        return json.dumps(dict(pairs))
     if fmt == "csv":
-        return _csv_text([k for k, _ in fields], [[_csv_cell(v) for _, v in fields]])
-    return _text_pairs(fields)
+        return _csv_text([k for k, _ in pairs], [[_csv_cell(v) for _, v in pairs]])
+    return _text_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +412,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedCaseError, DomainError, NegativeFunctionError,
-            PreconditionError, EvalError, InvalidDistortionError) as exc:
+            EvalError, InvalidDistortionError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

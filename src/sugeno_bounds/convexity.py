@@ -6,8 +6,8 @@ A function f belongs to the class K2(s, m) on an interval when
 
 for all x, y in the interval and lam in [0, 1], with s, m in (0, 1].
 ``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice.
-``envelope`` builds the endpoint power envelope that dominates such a
-function on [a, b]; its value at x is
+``envelope`` builds, as an expression, the endpoint power envelope that
+dominates such a function on [a, b]; its value at x is
 
     m * 2**(1-s) * f(a) + ((x - m*a)/(b - m*a))**s * (f(b) - m*f(a)).
 """
@@ -20,16 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, EvalError
-from .expr import FunctionExpr, evaluate, evaluate_array, parse
+from .expr import BinOp, FunctionExpr, Num, Var, evaluate, evaluate_array
 from .measure import Interval
 
 __all__ = [
     "SMParams",
     "ConvexityVerdict",
     "EndpointData",
-    "EnvelopeFunction",
     "check_sm_convex",
-    "power_sum_gap",
     "envelope",
     "endpoint_data",
 ]
@@ -91,7 +89,6 @@ def check_sm_convex(
     base: Interval,
     p: SMParams,
     grid: int = DEFAULT_LATTICE,
-    slack: float = _CONVEXITY_SLACK,
 ) -> ConvexityVerdict:
     """Test the K2(s, m) inequality on a grid^3 lattice over (x, y, lam).
 
@@ -125,68 +122,22 @@ def check_sm_convex(
     gaps = np.where(valid, lhs - rhs, -np.inf)
     flat = int(np.argmax(gaps))
     worst = float(gaps.flat[flat])
-    if worst > slack:
+    if worst > _CONVEXITY_SLACK:
         i, j, k = np.unravel_index(flat, gaps.shape)
         witness = (float(xs[i]), float(xs[j]), float(lams[k]), worst)
         return ConvexityVerdict(False, witness, grid, skipped)
     return ConvexityVerdict(True, None, grid, skipped)
 
 
-def power_sum_gap(x: float, s: float) -> float:
-    """Gap of the bound x**s + (1-x)**s <= 2**(1-s) on [0, 1]; non-negative."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    return 2.0 ** (1.0 - s) - x**s - (1.0 - x) ** s
-
-
-@dataclass(frozen=True)
-class EnvelopeFunction:
-    """Endpoint power envelope on [a, b]; calling it outside raises DomainError."""
-
-    fa: float
-    fb: float
-    base: Interval
-    params: SMParams
-
-    @property
-    def offset(self) -> float:
-        return self.params.m * 2.0 ** (1.0 - self.params.s) * self.fa
-
-    @property
-    def scale(self) -> float:
-        return self.fb - self.params.m * self.fa
-
-    @property
-    def width(self) -> float:
-        return self.base.b - self.params.m * self.base.a
-
-    def value_at(self, x: float) -> float:
-        t = (x - self.params.m * self.base.a) / self.width
-        return self.offset + t**self.params.s * self.scale
-
-    def __call__(self, x: float) -> float:
-        if not self.base.contains(x):
-            raise DomainError(f"x={x!r} outside [{self.base.a!r}, {self.base.b!r}]")
-        return self.value_at(x)
-
-    def values(self, xs) -> np.ndarray:
-        t = (np.asarray(xs, dtype=float) - self.params.m * self.base.a) / self.width
-        with np.errstate(all="ignore"):
-            return self.offset + np.power(t, self.params.s) * self.scale
-
-    def as_expr(self) -> FunctionExpr:
-        """The same envelope as a parsed expression (handy for integrating it)."""
-        text = (
-            f"({self.offset!r})+((((x)-({self.params.m * self.base.a!r}))"
-            f"/({self.width!r}))^({self.params.s!r}))*({self.scale!r})"
-        )
-        return parse(text)
-
-
-def envelope(fa: float, fb: float, base: Interval, p: SMParams) -> EnvelopeFunction:
+def envelope(fa: float, fb: float, base: Interval, p: SMParams) -> FunctionExpr:
     """Power envelope through the endpoint data of an (s,m)-convex function."""
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError("endpoint values must be finite")
-    return EnvelopeFunction(fa, fb, base, p)
+    offset = p.m * 2.0 ** (1.0 - p.s) * fa
+    left = p.m * base.a
+    width = base.b - left
+    scale = fb - p.m * fa
+    t = BinOp("/", BinOp("-", Var(), Num(left)), Num(width))
+    root = BinOp("+", Num(offset), BinOp("*", BinOp("^", t, Num(p.s)), Num(scale)))
+    text = f"({offset!r})+(((x-({left!r}))/({width!r}))^({p.s!r}))*({scale!r})"
+    return FunctionExpr(root, text)

@@ -8,7 +8,6 @@ __all__ = [
     "BracketError",
     "DomainError",
     "NegativeFunctionError",
-    "PreconditionError",
     "UnsupportedCaseError",
     "InvalidDistortionError",
 ]
@@ -46,14 +45,6 @@ class NegativeFunctionError(Exception):
         super().__init__(f"integrand is negative at x={witness_x!r}: {value!r}")
         self.witness_x = witness_x
         self.value = value
-
-
-class PreconditionError(Exception):
-    """A caller-supplied precondition failed; carries a witness when known."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class UnsupportedCaseError(Exception):

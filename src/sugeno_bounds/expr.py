@@ -13,6 +13,11 @@ Named functions: ``sqrt``, ``exp``, ``ln``, ``abs`` (one argument) and
 ``-(x^2)``.  There is no implicit multiplication.  Parsed trees are
 immutable and evaluation is pure, so expressions are safe to share.
 
+``parse`` rejects an expression nested deeper than ``MAX_DEPTH`` levels in
+the grammar (parentheses, unary minus, ``^``, call arguments) or in the tree
+it builds (operands of ``+ - * /`` too), so neither parsing nor evaluation
+can hit the recursion limit.  A bare ``x`` is one level deep.
+
 Evaluation is strict about definedness: division by zero, ``ln`` of a
 non-positive value, fractional powers of negative bases, and non-finite
 intermediates all raise :class:`EvalError`.  The vectorized route
@@ -36,7 +41,6 @@ __all__ = [
     "evaluate",
     "evaluate_array",
     "constant",
-    "variable",
     "product",
 ]
 
@@ -76,6 +80,7 @@ FUNCTIONS = {"sqrt": 1, "exp": 1, "ln": 1, "abs": 1, "pow": 2}
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OP_CHARS = "+-*/^(),"
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -110,6 +115,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # nesting of factor(), which every recursion passes through
 
     def peek(self):
         return self.tokens[self.i]
@@ -153,11 +159,17 @@ class _Parser:
                 return node
 
     def factor(self) -> Node:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(pos, f"expression nests deeper than {MAX_DEPTH} levels")
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -206,13 +218,28 @@ class FunctionExpr:
     root: Node
     source_text: str
 
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
+
+def _tree_depth(root: Node) -> int:
+    """Nodes on the longest root-to-leaf path, found without recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Neg):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Call):
+            stack += [(arg, depth + 1) for arg in node.args]
+    return deepest
 
 
 def parse(text: str) -> FunctionExpr:
     """Parse expression text; raises :class:`ParseError` with a position."""
-    return FunctionExpr(_Parser(text).parse(), text)
+    root = _Parser(text).parse()
+    if _tree_depth(root) > MAX_DEPTH:
+        raise ParseError(0, f"expression tree is deeper than {MAX_DEPTH} levels")
+    return FunctionExpr(root, text)
 
 
 def _finite(value: float) -> float:
@@ -324,10 +351,6 @@ def constant(value: float) -> FunctionExpr:
     if not math.isfinite(v):
         raise ValueError("constant must be finite")
     return FunctionExpr(Num(v), repr(v))
-
-
-def variable() -> FunctionExpr:
-    return FunctionExpr(Var(), "x")
 
 
 def product(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:

@@ -1,20 +1,15 @@
-"""Intervals, finite interval unions, and fuzzy measures over them.
+"""Intervals and the fuzzy measures of their subintervals.
 
 Two measure families are supported on subsets of [0, inf): Lebesgue
 (plain length) and distortion measures ``phi(length)`` for a non-decreasing
 ``phi`` with ``phi(0) = 0``.  A distortion map is an ordinary expression in
 ``x``, where ``x`` stands for the length argument; it is validated on a
 1001-point grid when the measure is constructed.
-
-``verify_fuzzy_measure_axioms`` checks the fuzzy measure axioms empirically:
-the empty set has measure zero, nested sets have ordered measures, and
-measures are continuous along increasing and decreasing chains of sets.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,22 +17,10 @@ import numpy as np
 from .exceptions import DomainError, InvalidDistortionError
 from .expr import FunctionExpr, evaluate, evaluate_array
 
-__all__ = [
-    "Interval",
-    "IntervalUnion",
-    "MeasureSpec",
-    "lebesgue",
-    "distortion",
-    "measure_of",
-    "AxiomReport",
-    "verify_fuzzy_measure_axioms",
-]
+__all__ = ["Interval", "MeasureSpec", "lebesgue", "distortion", "measure_of"]
 
-CONTINUITY_TOL = 1e-9
 _PHI_GRID = 1001
 _PHI_SLACK = 1e-12
-_MONOTONE_SLACK = 1e-12
-_N_CHAINS = 10
 
 
 @dataclass(frozen=True)
@@ -58,25 +41,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-    def contains(self, x: float) -> bool:
-        return self.a <= x <= self.b
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Ordered union of pairwise-disjoint intervals; may be empty."""
-
-    parts: tuple[Interval, ...] = ()
-
-    def __post_init__(self):
-        for prev, cur in zip(self.parts, self.parts[1:]):
-            if cur.a < prev.b:
-                raise ValueError("interval union parts must be sorted and disjoint")
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(p.length for p in self.parts))
 
 
 @dataclass(frozen=True)
@@ -109,132 +73,8 @@ def distortion(phi: FunctionExpr, base: Interval) -> MeasureSpec:
     return MeasureSpec("distortion", phi)
 
 
-def measure_of(spec: MeasureSpec, subset: IntervalUnion | Interval) -> float:
-    """Measure of a finite interval union (or single interval)."""
-    length = subset.length if isinstance(subset, Interval) else subset.total_length
+def measure_of(spec: MeasureSpec, subset: Interval) -> float:
+    """Measure of an interval: its length, or phi of its length."""
     if spec.kind == "lebesgue":
-        return length
-    return evaluate(spec.phi, length)
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    empty_set_is_zero: bool
-    monotone: bool
-    continuous_from_below: bool
-    continuous_from_above: bool
-    pairs_checked: int
-    chain_length: int
-    worst_monotone_gap: float  # max of mu(A) - mu(B) over nested pairs A within B
-    worst_chain_gap: float     # max |mu(E_n) - mu(limit)| over all chains
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.empty_set_is_zero
-            and self.monotone
-            and self.continuous_from_below
-            and self.continuous_from_above
-        )
-
-
-def _random_union(rng: random.Random, base: Interval) -> IntervalUnion:
-    k = rng.randint(1, 4)
-    pts = sorted(rng.uniform(base.a, base.b) for _ in range(2 * k))
-    parts = []
-    for lo, hi in zip(pts[::2], pts[1::2]):
-        if hi - lo > 1e-9 * base.length:
-            parts.append(Interval(lo, hi))
-    return IntervalUnion(tuple(parts))
-
-
-def _shrunk_copy(rng: random.Random, union: IntervalUnion) -> IntervalUnion:
-    parts = []
-    for part in union.parts:
-        if rng.random() < 0.3:
-            continue
-        w = part.length
-        lo = part.a + rng.uniform(0.0, 0.4) * w
-        hi = part.b - rng.uniform(0.0, 0.4) * w
-        if hi - lo > 1e-12 * w:
-            parts.append(Interval(lo, hi))
-    return IntervalUnion(tuple(parts))
-
-
-def _random_inner_interval(rng: random.Random, base: Interval) -> Interval:
-    # Strictly inside the base with margins, so decreasing chains have room.
-    length = base.length
-    lo = base.a + 0.05 * length
-    hi = base.b - 0.05 * length
-    width = rng.uniform(0.2 * length, 0.8 * (hi - lo))
-    start = rng.uniform(lo, hi - width)
-    return Interval(start, start + width)
-
-
-def verify_fuzzy_measure_axioms(
-    spec: MeasureSpec,
-    base: Interval,
-    n_samples: int,
-    seed: int = 0,
-) -> AxiomReport:
-    """Empirical check of the fuzzy measure axioms over random subsets of ``base``."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    rng = random.Random(seed)
-
-    empty_ok = measure_of(spec, IntervalUnion()) == 0.0
-
-    worst_monotone = -math.inf
-    for _ in range(n_samples):
-        bigger = _random_union(rng, base)
-        smaller = _shrunk_copy(rng, bigger)
-        gap = measure_of(spec, smaller) - measure_of(spec, bigger)
-        worst_monotone = max(worst_monotone, gap)
-    monotone_ok = worst_monotone <= _MONOTONE_SLACK
-
-    # Chains shrink geometrically so the last element is within 1e-12 of the
-    # limit set in length; chain length is n_samples.
-    shrink = (1e-12) ** (1.0 / n_samples)
-    worst_chain = 0.0
-    below_ok = True
-    above_ok = True
-    for _ in range(_N_CHAINS):
-        limit = _random_inner_interval(rng, base)
-        mu_limit = measure_of(spec, limit)
-
-        prev = -math.inf
-        mu_last = prev
-        for k in range(1, n_samples + 1):
-            cut = limit.length * shrink**k
-            mu_last = measure_of(spec, Interval(limit.a, limit.b - cut))
-            if mu_last < prev - _MONOTONE_SLACK:
-                below_ok = False
-            prev = mu_last
-        gap = abs(mu_last - mu_limit)
-        worst_chain = max(worst_chain, gap)
-        if gap > CONTINUITY_TOL:
-            below_ok = False
-
-        pad0 = min(limit.a - base.a, base.b - limit.b)
-        prev = math.inf
-        for k in range(1, n_samples + 1):
-            pad = pad0 * shrink**k
-            mu_last = measure_of(spec, Interval(limit.a - pad, limit.b + pad))
-            if mu_last > prev + _MONOTONE_SLACK:
-                above_ok = False
-            prev = mu_last
-        gap = abs(mu_last - mu_limit)
-        worst_chain = max(worst_chain, gap)
-        if gap > CONTINUITY_TOL:
-            above_ok = False
-
-    return AxiomReport(
-        empty_set_is_zero=empty_ok,
-        monotone=monotone_ok,
-        continuous_from_below=below_ok,
-        continuous_from_above=above_ok,
-        pairs_checked=n_samples,
-        chain_length=n_samples,
-        worst_monotone_gap=worst_monotone,
-        worst_chain_gap=worst_chain,
-    )
+        return subset.length
+    return evaluate(spec.phi, subset.length)

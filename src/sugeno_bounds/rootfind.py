@@ -28,14 +28,13 @@ _SPOT_CHECK_POINTS = 8
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Bisection stops once the bracket is narrower than ``tol`` or at float resolution."""
+
     tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def solve_sup_threshold(
     a, b = lo, hi
     g_a = g_lo
     iterations = 0
-    while b - a > cfg.tol and iterations < cfg.max_iter:
+    while b - a > cfg.tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break  # float resolution reached
@@ -122,13 +121,11 @@ def solve_sign_change(
 
     lo_positive = g_lo > 0.0
     a, b = lo, hi
-    iterations = 0
-    while b - a > cfg.tol and iterations < cfg.max_iter:
+    while b - a > cfg.tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
         g_mid = g(mid)
-        iterations += 1
         if g_mid == 0.0:
             return mid
         if (g_mid > 0.0) == lo_positive:

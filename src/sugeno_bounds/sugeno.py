@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EvalError, NegativeFunctionError, PreconditionError
-from .expr import FunctionExpr, constant, evaluate, evaluate_array
+from .exceptions import EvalError, NegativeFunctionError
+from .expr import FunctionExpr, evaluate, evaluate_array
 from .measure import Interval, MeasureSpec, lebesgue, measure_of
 from .rootfind import SolverConfig, solve_sign_change, solve_sup_threshold
 
@@ -32,19 +32,16 @@ __all__ = [
     "DEFAULT_GRID",
     "IntegralResult",
     "DistributionProfile",
-    "PropertyReport",
     "sugeno_integral",
     "distribution_profile",
-    "check_proposition_properties",
 ]
 
 DEFAULT_GRID = 100001
 MAX_GRID = 10**7
-PROPERTY_TOL = 1e-6
 MAX_EXCLUDED_FRACTION = 0.001
 _MIN_GRID = 101
 _NEG_SLACK = 1e-12
-_GAMMA_PROBES = 10
+_REFINE_CFG = SolverConfig(tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ class _LevelSets:
             return hi
         if (g_lo > 0.0) == (g_hi > 0.0):
             return lo if abs(g_lo) <= abs(g_hi) else hi
-        return solve_sign_change(g, lo, hi, SolverConfig(tol=1e-12, max_iter=100))
+        return solve_sign_change(g, lo, hi, _REFINE_CFG)
 
     def _length_increasing(self, alpha: float) -> float:
         vals, xs = self.vals, self.xs
@@ -169,13 +166,6 @@ class _LevelSets:
         return evaluate(self.spec.phi, length)
 
 
-def _integral_from_levels(levels: _LevelSets, cfg: SolverConfig) -> IntegralResult:
-    mu_total = measure_of(levels.spec, levels.base)
-    res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
-    grid_points = None if levels.exact_boundaries else levels.grid
-    return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
-
-
 def sugeno_integral(
     f: FunctionExpr,
     base: Interval,
@@ -187,7 +177,13 @@ def sugeno_integral(
     spec = lebesgue() if spec is None else spec
     cfg = SolverConfig() if cfg is None else cfg
     levels = _LevelSets(f, base, spec, grid, require_nonnegative=True)
-    return _integral_from_levels(levels, cfg)
+    mu_total = measure_of(spec, base)
+    grid_points = None if levels.exact_boundaries else grid
+    if mu_total <= 0.0:
+        # a null measure leaves no alpha > 0 with F(alpha) >= alpha
+        return IntegralResult(0.0, "fixed_point", abs(mu_total), (0.0, 0.0), grid_points)
+    res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
+    return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
 
 
 def distribution_profile(
@@ -206,112 +202,3 @@ def distribution_profile(
         raise ValueError("alphas must be strictly increasing")
     levels = _LevelSets(f, base, spec, grid)
     return DistributionProfile(tuple((a, levels.measure(a)) for a in alphas))
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Empirical verdicts for the standard Sugeno integral properties.
-
-    The two ``*_sampled`` items quantify over all gamma in the underlying
-    statement; here they are probed at finitely many gammas only, so a True
-    is evidence, not proof.
-    """
-
-    bounded_by_measure: bool      # integral(f) <= mu(X), same for g
-    constant_matches_min: bool    # integral of the constant k equals min(k, mu(X))
-    monotone_in_integrand: bool   # f <= g implies integral(f) <= integral(g)
-    threshold_lower: bool         # F(alpha) >= alpha implies integral >= alpha
-    threshold_upper: bool         # F(alpha) <= alpha implies integral <= alpha
-    exceeds_alpha_sampled: bool   # integral > alpha: some gamma > alpha has F(gamma) > alpha
-    below_alpha_sampled: bool     # integral < alpha: some gamma < alpha has F(gamma) < alpha
-    integral_f: float
-    integral_g: float
-    integral_k: float
-    measure_total: float
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.bounded_by_measure
-            and self.constant_matches_min
-            and self.monotone_in_integrand
-            and self.threshold_lower
-            and self.threshold_upper
-            and self.exceeds_alpha_sampled
-            and self.below_alpha_sampled
-        )
-
-
-def check_proposition_properties(
-    f: FunctionExpr,
-    g: FunctionExpr,
-    k: float,
-    base: Interval,
-    spec: MeasureSpec | None = None,
-    cfg: SolverConfig | None = None,
-    grid: int = 10001,
-    tol: float = PROPERTY_TOL,
-) -> PropertyReport:
-    """Check the standard integral properties for a pair f <= g and a constant k.
-
-    Raises :class:`PreconditionError` with a witness point when f <= g fails
-    on the grid.
-    """
-    spec = lebesgue() if spec is None else spec
-    cfg = SolverConfig() if cfg is None else cfg
-    if k < 0.0:
-        raise ValueError("k must be non-negative")
-    levels_f = _LevelSets(f, base, spec, grid, require_nonnegative=True)
-    levels_g = _LevelSets(g, base, spec, grid, require_nonnegative=True)
-
-    both = ~np.isnan(levels_f.vals) & ~np.isnan(levels_g.vals)
-    excess = np.where(both, levels_f.vals - levels_g.vals, -np.inf)
-    worst = int(np.argmax(excess))
-    if excess[worst] > 1e-12:
-        x_bad = float(levels_f.xs[worst])
-        raise PreconditionError(
-            f"need f <= g on the grid; f exceeds g by {float(excess[worst])!r} at x={x_bad!r}",
-            witness=x_bad,
-        )
-
-    mu_total = measure_of(spec, base)
-    v_f = _integral_from_levels(levels_f, cfg).value
-    v_g = _integral_from_levels(levels_g, cfg).value
-    levels_k = _LevelSets(constant(k), base, spec, grid, require_nonnegative=True)
-    v_k = _integral_from_levels(levels_k, cfg).value
-
-    bounded = v_f <= mu_total + tol and v_g <= mu_total + tol
-    const_ok = abs(v_k - min(k, mu_total)) <= tol
-    mono = v_f <= v_g + tol
-
-    # Threshold items: alpha is constructed from the computed integral so the
-    # hypothesis is numerically decidable; a failed hypothesis passes vacuously.
-    a4 = max(v_f - tol, 0.0)
-    lower_ok = (levels_f.measure(a4) < a4) or (v_f >= a4 - 1e-9)
-    a5 = v_f + tol
-    upper_ok = (levels_f.measure(a5) > a5) or (v_f <= a5 + 1e-9)
-
-    delta = max(1e-3 * max(1.0, mu_total), 10.0 * tol)
-    a6 = v_f - delta
-    if a6 <= 0.0:
-        exceeds_ok = True  # no alpha strictly between 0 and the integral to probe
-    else:
-        gammas = [a6 + (v_f - a6) * j / _GAMMA_PROBES for j in range(1, _GAMMA_PROBES + 1)]
-        exceeds_ok = any(levels_f.measure(gm) > a6 for gm in gammas)
-    a7 = v_f + delta
-    gammas = [v_f + delta * j / _GAMMA_PROBES for j in range(_GAMMA_PROBES)]
-    below_ok = any(levels_f.measure(gm) < a7 for gm in gammas)
-
-    return PropertyReport(
-        bounded_by_measure=bounded,
-        constant_matches_min=const_ok,
-        monotone_in_integrand=mono,
-        threshold_lower=lower_ok,
-        threshold_upper=upper_ok,
-        exceeds_alpha_sampled=exceeds_ok,
-        below_alpha_sampled=below_ok,
-        integral_f=v_f,
-        integral_g=v_g,
-        integral_k=v_k,
-        measure_total=mu_total,
-    )

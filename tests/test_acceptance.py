@@ -17,24 +17,21 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from reference import decreasing_beta_convex, increasing_beta_convex, sugeno_integral_oracle
+from reference import (
+    check_proposition_properties,
+    decreasing_beta_convex,
+    increasing_beta_convex,
+    power_sum_gap,
+    sugeno_integral_oracle,
+    verify_fuzzy_measure_axioms,
+)
 from sugeno_bounds.bounds import endpoint_bound, verify_hadamard
 from sugeno_bounds.cli import reproduce, run
-from sugeno_bounds.convexity import (
-    EndpointData,
-    SMParams,
-    check_sm_convex,
-    envelope,
-    power_sum_gap,
-)
+from sugeno_bounds.convexity import EndpointData, SMParams, check_sm_convex, envelope
 from sugeno_bounds.expr import constant, parse, product
-from sugeno_bounds.measure import Interval, distortion, lebesgue, verify_fuzzy_measure_axioms
+from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
-from sugeno_bounds.sugeno import (
-    check_proposition_properties,
-    distribution_profile,
-    sugeno_integral,
-)
+from sugeno_bounds.sugeno import distribution_profile, sugeno_integral
 
 TIGHT = SolverConfig(tol=1e-14)
 
@@ -116,8 +113,8 @@ def test_criterion2_square_case_and_flagged_threshold():
 
     # sup-min of the actual envelope product (1+7t)(1+t), t=(x-1)/3:
     # 3(1-t) = (1+7t)(1+t) gives 7t^2 + 11t - 2 = 0
-    env_f = envelope(1.0, 8.0, base, SMParams(1.0, 1.0)).as_expr()
-    env_g = envelope(1.0, 2.0, base, SMParams(1.0, 1.0)).as_expr()
+    env_f = envelope(1.0, 8.0, base, SMParams(1.0, 1.0))
+    env_g = envelope(1.0, 2.0, base, SMParams(1.0, 1.0))
     brute = sugeno_integral_oracle(product(env_f, env_g), base,
                                    n_alpha=20001, grid=20001)
     t_star = (-11.0 + math.sqrt(177.0)) / 14.0

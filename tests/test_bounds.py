@@ -19,6 +19,7 @@ from sugeno_bounds.bounds import (
     kirmaci_bound,
     verify_hadamard,
 )
+from sugeno_bounds.cli import emit_report
 from sugeno_bounds.convexity import EndpointData, SMParams
 from sugeno_bounds.exceptions import DomainError, UnsupportedCaseError
 from sugeno_bounds.expr import parse
@@ -45,10 +46,12 @@ def test_classify_respects_m():
 
 
 def test_classify_tie_tolerance():
+    # differences within CASE_TIE_TOL = 1e-9 count as ties; past it they do not
     p = SMParams(1.0, 1.0)
     e = EndpointData(1.0, 1.0 + 5e-10, 2.0, 2.0 - 5e-10)
     assert classify_case(e, p) is CaseTag.DEGENERATE
-    assert classify_case(e, p, tie_tol=1e-11) is CaseTag.MIXED
+    e = EndpointData(1.0, 1.0 + 2e-9, 2.0, 2.0 - 2e-9)
+    assert classify_case(e, p) is CaseTag.MIXED
 
 
 def test_kirmaci_value():
@@ -294,8 +297,9 @@ def test_verify_power_pair_bound_genuinely_fails():
 def test_verify_json_field_names_and_order():
     report = verify_hadamard(parse("x^2"), parse("2*x"), Interval(1.0, 4.0),
                              SMParams(1.0, 1.0))
-    d = report.to_json_dict()
+    d = json.loads(emit_report(report, "json"))
     assert list(d.keys()) == ["integral", "beta", "bound", "kirmaci", "case",
                               "holds", "margin", "literal_mode", "residual"]
-    blob = json.dumps(d)
-    assert json.loads(blob)["case"] == "increasing"
+    assert d["case"] == "increasing"
+    assert (d["integral"], d["beta"], d["margin"]) == \
+        (report.integral.value, report.hadamard.beta, report.margin)

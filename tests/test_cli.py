@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +142,31 @@ def test_negative_integrand_exit_three(capsys):
     assert code == 3
 
 
+def test_null_measure_integrates_to_zero(capsys):
+    code, out = _run(capsys, "integrate", "--f", "x", "--interval", "0,1",
+                     "--measure", "0*x", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == 0.0
+
+
+def test_bound_bracket_failure_exit_three(capsys):
+    # literal mode with m < 1: the decreasing-case length of f's factor is
+    # negative already at beta = 0, so F(0) < 0 and no threshold is bracketed
+    code, out = _run(capsys, "bound", "--f", "1-101*(x-1)", "--g", "1-0.6*(x-1)",
+                     "--interval", "1,2", "--s", "1", "--m", "0.5")
+    assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["x"] * 1201),       # deep tree, flat grammar
+    "-" * 1200 + "x",             # deep grammar and tree
+    "(" * 200 + "x" + ")" * 200,  # deep grammar, shallow tree
+], ids=["sum", "minus", "parens"])
+def test_deeply_nested_expression_exit_two(capsys, text):
+    code, out = _run(capsys, "integrate", f"--f={text}", "--interval", "0,1")
+    assert code == 2 and out == ""
+
+
 def test_unknown_subcommand_exit_two(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -202,7 +229,7 @@ def test_reproduce_38_note_is_exact_sup_min():
     # the envelope product (1+7t)(1+t), t=(x-1)/3, is monotone on [1,4], so its
     # integral is exact: 3(1-t) = (1+7t)(1+t) at t* = (-11+sqrt(177))/14
     base, p = Interval(1.0, 4.0), SMParams(1.0, 1.0)
-    env = product(envelope(1.0, 8.0, base, p).as_expr(), envelope(1.0, 2.0, base, p).as_expr())
+    env = product(envelope(1.0, 8.0, base, p), envelope(1.0, 2.0, base, p))
     t_star = (-11.0 + math.sqrt(177.0)) / 14.0
     want = 3.0 * (1.0 - t_star)
     assert sugeno_integral(env, base).value == pytest.approx(want, abs=1e-9)
@@ -241,7 +268,6 @@ def test_reproduce_api_matches_cli():
 
 
 def test_byte_identical_determinism():
-    cmd = [sys.executable, "-m", "sugeno_bounds.cli_main"]
     # run through the console entry twice; identical argv must give identical bytes
     argv = ["verify", "--f", "x^2", "--g", "2*x", "--interval", "1,4",
             "--s", "1", "--m", "1", "--format", "json"]
@@ -256,8 +282,15 @@ def test_byte_identical_determinism():
 
 
 def test_console_script_help():
+    # call the function that pyproject.toml names as the sugeno-bounds script,
+    # the way the generated script does
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^sugeno-bounds = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
     r = subprocess.run([sys.executable, "-c",
-                        "from sugeno_bounds.cli import run; run(['--help'])"],
+                        f"import sys; from {module} import {func}; sys.exit({func}())",
+                        "--help"],
                        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: sugeno-bounds")
     assert "integrate" in r.stdout
     assert "reproduce" in r.stdout

@@ -1,4 +1,4 @@
-"""Grid membership checks, the power-sum gap, and endpoint envelopes."""
+"""Grid membership checks, endpoint envelopes, and the reference power-sum gap."""
 
 import math
 
@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import check_envelope_dominates
+from reference import check_envelope_dominates, power_sum_gap
 from sugeno_bounds.convexity import (
     MAX_LATTICE,
     EndpointData,
-    EnvelopeFunction,
     SMParams,
     check_sm_convex,
     endpoint_data,
     envelope,
-    power_sum_gap,
 )
 from sugeno_bounds.exceptions import DomainError, EvalError
-from sugeno_bounds.expr import evaluate, parse
+from sugeno_bounds.expr import evaluate, evaluate_array, parse
 from sugeno_bounds.measure import Interval
 
 
@@ -165,40 +163,38 @@ def test_envelope_is_chord_when_s_m_one():
     env = envelope(1.0, 8.0, base, SMParams(1.0, 1.0))
     for x in np.linspace(1.0, 4.0, 101):
         chord = 1.0 + (x - 1.0) / 3.0 * 7.0
-        assert env.value_at(float(x)) == pytest.approx(chord, abs=1e-12)
+        assert evaluate(env, float(x)) == pytest.approx(chord, abs=1e-12)
     # 1 -> 3 on [0,1] is the line 1 + 2x
     env2 = envelope(1.0, 3.0, Interval(0.0, 1.0), SMParams(1.0, 1.0))
-    assert env2.value_at(0.5) == pytest.approx(2.0, abs=1e-15)
+    assert evaluate(env2, 0.5) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_envelope_offset_at_scaled_left_end():
     # at x = m*a the envelope equals m * 2^(1-s) * f(a)
     env = envelope(1.0, 2.0, Interval(0.0, 1.0), SMParams(0.5, 1.0))
-    assert env.value_at(0.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert env.value_at(1.0) == pytest.approx(math.sqrt(2.0) + 1.0, abs=1e-15)
+    assert evaluate(env, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert evaluate(env, 1.0) == pytest.approx(math.sqrt(2.0) + 1.0, abs=1e-15)
     env2 = envelope(1.0, 3.0, Interval(0.0, 1.0), SMParams(0.5, 1.0))
-    assert env2.value_at(0.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert evaluate(env2, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
-def test_envelope_rejects_outside_base():
-    env = envelope(1.0, 8.0, Interval(1.0, 4.0), SMParams(1.0, 1.0))
+def test_envelope_matches_closed_form():
+    # the tree performs the module docstring's formula operation for operation
+    fa, fb, a, b, s, m = 1.0, 8.0, 1.0, 4.0, 0.4, 0.9
+    env = envelope(fa, fb, Interval(a, b), SMParams(s, m))
+    for x in np.linspace(a, b, 57):
+        want = m * 2.0 ** (1.0 - s) * fa + ((x - m * a) / (b - m * a)) ** s * (fb - m * fa)
+        assert evaluate(env, float(x)) == want
     with pytest.raises(DomainError):
-        env(0.5)
-
-
-def test_envelope_as_expr_matches_callable():
-    env = envelope(1.0, 8.0, Interval(1.0, 4.0), SMParams(0.4, 0.9))
-    f = env.as_expr()
-    for x in np.linspace(1.0, 4.0, 57):
-        assert evaluate(f, float(x)) == pytest.approx(env.value_at(float(x)), rel=1e-14)
+        envelope(1.0, math.inf, Interval(a, b), SMParams(s, m))
 
 
 def test_envelope_vectorized_matches_scalar():
     env = envelope(0.0, 0.25, Interval(0.0, 1.0), SMParams(1.0 / 3.0, 1.0))
     xs = np.linspace(0.0, 1.0, 33)
-    vec = env.values(xs)
+    vec = evaluate_array(env, xs)
     for x, v in zip(xs, vec):
-        assert env.value_at(float(x)) == pytest.approx(float(v), rel=1e-14, abs=1e-300)
+        assert evaluate(env, float(x)) == pytest.approx(float(v), rel=1e-14, abs=1e-300)
 
 
 def test_envelope_dominates_quintic():
@@ -238,7 +234,7 @@ def test_envelope_dominance_fails_for_tent():
 def test_envelope_monotone_when_scale_positive(s, m, fa, fb):
     base = Interval(1.0, 2.0)
     env = envelope(fa, fb, base, SMParams(s, m))
-    lo, hi = env.value_at(1.0), env.value_at(2.0)
+    lo, hi = evaluate(env, 1.0), evaluate(env, 2.0)
     if fb - m * fa >= 0.0:
         assert lo <= hi + 1e-12
     else:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reference import to_text
 from sugeno_bounds.exceptions import EvalError, ParseError
 from sugeno_bounds.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Num,
@@ -24,7 +25,6 @@ from sugeno_bounds.expr import (
     evaluate_array,
     parse,
     product,
-    variable,
 )
 
 mpmath.mp.dps = 50
@@ -237,11 +237,29 @@ def test_array_eval_marks_bad_points_nan():
     assert arr[2] == 2.0
 
 
+def _nested(depth):
+    # one expression per way of nesting, each exactly ``depth`` levels deep
+    return ["(" * (depth - 1) + "x" + ")" * (depth - 1),
+            "-" * (depth - 1) + "x",
+            "x" + "^1" * (depth - 1),
+            "sqrt(" * (depth - 1) + "x" + ")" * (depth - 1),
+            "+".join(["x"] * depth)]
+
+
+def test_depth_limit():
+    for text in _nested(MAX_DEPTH):
+        f = parse(text)
+        # a product adds one level; evaluating it must still not recurse too deep
+        assert evaluate(product(f, f), 1.0) == evaluate(f, 1.0) ** 2
+        assert evaluate_array(product(f, f), [1.0])[0] == evaluate(f, 1.0) ** 2
+    for text in _nested(MAX_DEPTH + 1) + _nested(12 * MAX_DEPTH):
+        with pytest.raises(ParseError, match="deeper than"):
+            parse(text)
+
+
 def test_builders():
     one = constant(1.0)
-    x = variable()
     assert evaluate(one, 17.0) == 1.0
-    assert evaluate(x, 17.0) == 17.0
     h = product(parse("x+1"), parse("x-1"))
     assert evaluate(h, 3.0) == 8.0
     # product text form re-parses to the same values

@@ -88,11 +88,18 @@ def test_residual_certificate():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
     for tol in (math.inf, math.nan):
         with pytest.raises(ValueError):
             SolverConfig(tol=tol)
+
+
+def test_huge_brackets_solve_to_tol():
+    # [0, 1e60] needs about 240 halvings to reach tol=1e-12; there is no step cap
+    res = solve_sup_threshold(lambda a: 1e60 if a <= 1e-5 else 0.0, 0.0, 1e60)
+    assert res.value == pytest.approx(1e-5, abs=1e-12)
+    assert res.bracket[1] - res.bracket[0] <= 1e-12
+    root = solve_sign_change(lambda x: x - 1e-5, 0.0, 1e60)
+    assert root == pytest.approx(1e-5, abs=1e-12)
 
 
 def test_sign_change_linear():

@@ -10,21 +10,12 @@ import warnings
 import mpmath
 import pytest
 
-from reference import sugeno_integral_oracle
-from sugeno_bounds.exceptions import (
-    EvalError,
-    NegativeFunctionError,
-    PreconditionError,
-)
-from sugeno_bounds.expr import parse
+from reference import PreconditionError, check_proposition_properties, sugeno_integral_oracle
+from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
+from sugeno_bounds.expr import constant, parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
-from sugeno_bounds.sugeno import (
-    MAX_GRID,
-    check_proposition_properties,
-    distribution_profile,
-    sugeno_integral,
-)
+from sugeno_bounds.sugeno import MAX_GRID, distribution_profile, sugeno_integral
 
 mpmath.mp.dps = 50
 
@@ -178,8 +169,24 @@ def test_tight_tolerance_improves_residual():
     assert abs(tight.value - SQUARE_14) <= abs(loose.value - SQUARE_14) + 1e-14
 
 
+def test_constant_on_huge_interval():
+    # bisection over [0, 1e60] needs about 240 halvings to reach tol; a step
+    # cap would stop it early at a bracket far wider than the answer
+    res = sugeno_integral(constant(1e-5), Interval(0.0, 1e60))
+    assert res.value == pytest.approx(1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", ["0*x", "0"])
+def test_null_measure_integral_is_zero(phi):
+    # mu(X) = 0 leaves no alpha > 0 with F(alpha) >= alpha
+    box = Interval(0.0, 1.0)
+    res = sugeno_integral(parse("x+1"), box, distortion(parse(phi), box))
+    assert res.value == 0.0
+    assert res.alpha_bracket == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
-# bundled property report
+# reference property report (tests/reference.py)
 
 
 def test_property_report_passes():
