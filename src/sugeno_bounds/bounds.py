@@ -11,7 +11,8 @@ compares with m*f(a) (and likewise for g):
 * degenerate case  (both equal):  beta = m**2 * 2**(2-2s) * f(a) * g(a),
 
 with w = b - m*a and Q = (beta - m * 2**(1-s) * f(a)) / (f(b) - m*f(a)),
-clamped to [0, 1].  Mixed endpoint configurations have no supported bound.
+clamped to [0, 1].  Mixed endpoint configurations have no supported bound,
+and neither do negative endpoint values or a threshold that overflows.
 
 ``literal`` mode keeps the factor lengths exactly as the closed forms give
 them (they can stray outside [0, b - a] when m < 1); measure-consistent mode
@@ -24,16 +25,17 @@ it never asserts the inequality, it measures it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .convexity import EndpointData, SMParams, endpoint_data
-from .exceptions import DomainError, UnsupportedCaseError
+from .exceptions import DomainError, NegativeFunctionError, UnsupportedCaseError
 from .expr import FunctionExpr, product
 from .measure import Interval, lebesgue
 from .rootfind import SolverConfig, solve_sup_threshold
-from .sugeno import DEFAULT_GRID, IntegralResult, sugeno_integral
+from .sugeno import DEFAULT_GRID, NEG_SLACK, IntegralResult, sugeno_integral
 
 __all__ = [
     "CaseTag",
@@ -135,11 +137,19 @@ def endpoint_bound(
     """Bound threshold from endpoint data; mixed endpoints raise UnsupportedCaseError.
 
     The degenerate case is closed-form; the increasing and decreasing cases
-    solve F(beta) = beta for the envelope-product distribution.
+    solve F(beta) = beta for the envelope-product distribution.  A negative
+    endpoint value raises NegativeFunctionError, a closed-form threshold that
+    overflows DomainError, and a solve bracket that overflows BracketError.
     """
+    for x, value in ((base.a, e.fa), (base.b, e.fb), (base.a, e.ga), (base.b, e.gb)):
+        if value < -NEG_SLACK:
+            raise NegativeFunctionError(x, value)
     tag = classify_case(e, p)
     if tag is CaseTag.DEGENERATE:
-        beta = (p.m * p.m) * 2.0 ** (2.0 - 2.0 * p.s) * (e.fa * e.ga)
+        # endpoint values within NEG_SLACK below zero would give a negative beta
+        beta = max((p.m * p.m) * 2.0 ** (2.0 - 2.0 * p.s) * (e.fa * e.ga), 0.0)
+        if not math.isfinite(beta):
+            raise DomainError(f"the degenerate-case threshold overflows: {beta!r}")
         return BetaResult(beta, 0.0, min(beta, base.length), tag, literal)
     cfg = SolverConfig() if cfg is None else cfg
     F = envelope_distribution(e, base, p, literal)

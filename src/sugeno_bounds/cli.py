@@ -13,12 +13,15 @@ Output formats: text (default, 6 significant digits), json (one object per
 run, full precision), csv (constant column count).  Identical invocations
 produce byte-identical stdout.
 
+``--measure lebesgue`` (the default) is the identity distortion phi(t) = t.
+
 Exit codes: 0 success; 1 a verified inequality failed under
 --fail-on-violation; 2 usage or expression parse errors (an expression
 nested deeper than ``expr.MAX_DEPTH`` levels is a parse error); 3 unsupported
-endpoint case, domain violation, evaluation failure, or a solver bracket
-that does not enclose a solution.  The environment variable
-``SUGENO_GRID_N`` overrides the default integration grid size.
+endpoint case, negative function value (``bound`` checks the endpoint
+values of f and g), domain violation (a bound threshold that overflows),
+evaluation failure, or a solver bracket that is not finite or does not
+enclose a solution.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -39,7 +41,8 @@ from .bounds import (
     kirmaci_bound,
     verify_hadamard,
 )
-from .convexity import ConvexityVerdict, EndpointData, SMParams, check_sm_convex, envelope
+from .convexity import (DEFAULT_LATTICE, ConvexityVerdict, EndpointData, SMParams,
+                        check_sm_convex, envelope)
 from .exceptions import (
     BracketError,
     DomainError,
@@ -245,7 +248,7 @@ def emit_report(report, fmt: str = "text") -> str:
 
     if isinstance(report, list) and all(isinstance(r, ReproduceRow) for r in report):
         if fmt == "json":
-            return json.dumps({"rows": [asdict(r) for r in report]})
+            return json.dumps({"rows": [asdict(r) for r in report]}, allow_nan=False)
         if fmt == "csv":
             return _csv_text(_REPRODUCE_HEADER, [astuple(r) for r in report])
         header = ("case", "quantity", "expected", "computed", "diff", "verdict")
@@ -262,7 +265,7 @@ def emit_report(report, fmt: str = "text") -> str:
 
     pairs = _report_fields(report)
     if fmt == "json":
-        return json.dumps(dict(pairs))
+        return json.dumps(dict(pairs), allow_nan=False)
     if fmt == "csv":
         return _csv_text([k for k, _ in pairs], [[_csv_cell(v) for _, v in pairs]])
     return _text_pairs(pairs)
@@ -291,18 +294,6 @@ def _parse_measure(text: str, base: Interval) -> MeasureSpec:
     return distortion(parse(text), base)
 
 
-def _grid_default(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return cli_value
-    raw = os.environ.get("SUGENO_GRID_N")
-    if raw is None:
-        return DEFAULT_GRID
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"SUGENO_GRID_N must be an integer, got {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sugeno-bounds",
@@ -310,94 +301,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=_FORMATS, default="text")
+    def options(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
-    p = sub.add_parser("integrate", help="Sugeno integral of f over [a,b]")
-    p.add_argument("--f", required=True, dest="f_text", metavar="EXPR")
-    p.add_argument("--interval", required=True, metavar="A,B")
+    fmt = options()
+    fmt.add_argument("--format", choices=_FORMATS, default="text")
+    func = options()
+    func.add_argument("--f", required=True, dest="f_text", metavar="EXPR")
+    func.add_argument("--interval", required=True, metavar="A,B")
+    sm = options()
+    sm.add_argument("--s", type=float, required=True)
+    sm.add_argument("--m", type=float, required=True)
+    tol = options()
+    tol.add_argument("--tol", type=float, default=SolverConfig().tol)
+    grid = options()
+    grid.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    pair = options(func)
+    pair.add_argument("--g", required=True, dest="g_text", metavar="EXPR")
+    pair.add_argument("--literal", action=argparse.BooleanOptionalAction, default=True,
+                      help="keep factor lengths as the closed form gives them "
+                           "(--no-literal clamps each factor to [0, b-a])")
+
+    p = sub.add_parser("integrate", parents=[func, grid, tol, fmt],
+                       help="Sugeno integral of f over [a,b]")
     p.add_argument("--measure", default="lebesgue",
                    help="'lebesgue' or a distortion map as an expression in x")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
-    add_format(p)
-
-    p = sub.add_parser("bound", help="endpoint-case bound threshold for a product f*g")
-    p.add_argument("--f", required=True, dest="f_text", metavar="EXPR")
-    p.add_argument("--g", required=True, dest="g_text", metavar="EXPR")
-    p.add_argument("--interval", required=True, metavar="A,B")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--literal", action=argparse.BooleanOptionalAction, default=True,
-                   help="keep factor lengths as the closed form gives them "
-                        "(--no-literal clamps each factor to [0, b-a])")
-    add_format(p)
-
-    p = sub.add_parser("verify", help="integral of f*g against the endpoint bounds")
-    p.add_argument("--f", required=True, dest="f_text", metavar="EXPR")
-    p.add_argument("--g", required=True, dest="g_text", metavar="EXPR")
-    p.add_argument("--interval", required=True, metavar="A,B")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--literal", action=argparse.BooleanOptionalAction, default=True)
+    sub.add_parser("bound", parents=[pair, sm, tol, fmt],
+                   help="endpoint-case bound threshold for a product f*g")
+    p = sub.add_parser("verify", parents=[pair, sm, grid, tol, fmt],
+                       help="integral of f*g against the endpoint bounds")
     p.add_argument("--fail-on-violation", action="store_true")
-    add_format(p)
-
-    p = sub.add_parser("convexity", help="grid check of (s,m)-convexity in the second sense")
-    p.add_argument("--f", required=True, dest="f_text", metavar="EXPR")
-    p.add_argument("--interval", required=True, metavar="A,B")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--grid", type=int, default=41)
-    add_format(p)
-
-    p = sub.add_parser("reproduce", help="recompute the bundled worked cases")
+    p = sub.add_parser("convexity", parents=[func, sm, fmt],
+                       help="grid check of (s,m)-convexity in the second sense")
+    p.add_argument("--grid", type=int, default=DEFAULT_LATTICE)
+    p = sub.add_parser("reproduce", parents=[fmt], help="recompute the bundled worked cases")
     p.add_argument("--case", choices=["3.2", "3.8", "3.9", "all"], default="all")
-    add_format(p)
-
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "reproduce":
+        print(emit_report(reproduce(args.case), args.format))
+        return 0
+    base = _parse_interval(args.interval)
+    f = parse(args.f_text)
     if args.command == "integrate":
-        base = _parse_interval(args.interval)
-        f = parse(args.f_text)
         spec = _parse_measure(args.measure, base)
-        result = sugeno_integral(f, base, spec, SolverConfig(tol=args.tol), _grid_default(args.grid))
-        print(emit_report(result, args.format))
-        return 0
-
-    if args.command == "bound":
-        base = _parse_interval(args.interval)
-        f, g = parse(args.f_text), parse(args.g_text)
-        result = hadamard_bound(f, g, base, SMParams(args.s, args.m),
-                                SolverConfig(tol=args.tol), args.literal)
-        print(emit_report(result, args.format))
-        return 0
-
-    if args.command == "verify":
-        base = _parse_interval(args.interval)
-        f, g = parse(args.f_text), parse(args.g_text)
-        report = verify_hadamard(f, g, base, SMParams(args.s, args.m),
-                                 SolverConfig(tol=args.tol), _grid_default(args.grid),
-                                 args.literal)
-        print(emit_report(report, args.format))
-        if args.fail_on_violation and not report.holds:
-            return 1
-        return 0
-
-    if args.command == "convexity":
-        base = _parse_interval(args.interval)
-        verdict = check_sm_convex(parse(args.f_text), base, SMParams(args.s, args.m), args.grid)
-        print(emit_report(verdict, args.format))
-        return 0
-
-    # reproduce
-    print(emit_report(reproduce(args.case), args.format))
-    return 0
+        report = sugeno_integral(f, base, spec, SolverConfig(tol=args.tol), args.grid)
+    elif args.command == "convexity":
+        report = check_sm_convex(f, base, SMParams(args.s, args.m), args.grid)
+    else:
+        g = parse(args.g_text)
+        p, cfg = SMParams(args.s, args.m), SolverConfig(tol=args.tol)
+        if args.command == "bound":
+            report = hadamard_bound(f, g, base, p, cfg, args.literal)
+        else:
+            report = verify_hadamard(f, g, base, p, cfg, args.grid, args.literal)
+    print(emit_report(report, args.format))
+    violated = args.command == "verify" and args.fail_on_violation and not report.holds
+    return 1 if violated else 0
 
 
 def run(argv=None) -> int:

@@ -15,6 +15,7 @@ dominates such a function on [a, b]; its value at x is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,9 @@ def check_sm_convex(
     Combination points can fall outside [a, b] when m < 1; the inequality is
     tested wherever f evaluates, and non-evaluable combinations are skipped
     and counted; if every combination is skipped, EvalError is raised.  The
-    witness, when present, is the maximum-gap violation.
+    witness, when present, is the maximum-gap violation; a gap beyond the
+    float range (the right-hand side overflows to -inf) is reported as
+    sys.float_info.max.
     """
     if not 11 <= grid <= MAX_LATTICE:
         raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
@@ -109,22 +112,19 @@ def check_sm_convex(
     points = L * X + p.m * (1.0 - L) * Y
     lhs = evaluate_array(f, points.ravel()).reshape(points.shape)
     with np.errstate(all="ignore"):
-        rhs = (L**p.s) * f_ends[:, None, None] + p.m * ((1.0 - L) ** p.s) * f_ends[None, :, None]
-
-    valid = (
-        np.isfinite(lhs)
-        & np.isfinite(f_ends)[:, None, None]
-        & np.isfinite(f_ends)[None, :, None]
-    )
-    skipped = int(lhs.size - np.count_nonzero(valid))
-    if skipped == lhs.size:
+        gaps = (L**p.s) * f_ends[:, None, None] + p.m * ((1.0 - L) ** p.s) * f_ends[None, :, None]
+        np.subtract(lhs, gaps, out=gaps)
+    ends_ok = np.isfinite(f_ends)
+    invalid = ~(np.isfinite(lhs) & ends_ok[:, None, None] & ends_ok[None, :, None])
+    skipped = int(np.count_nonzero(invalid))
+    if skipped == gaps.size:
         raise EvalError(f"f is not evaluable at any of the {skipped} lattice combinations")
-    gaps = np.where(valid, lhs - rhs, -np.inf)
+    gaps[invalid] = -np.inf
     flat = int(np.argmax(gaps))
     worst = float(gaps.flat[flat])
     if worst > _CONVEXITY_SLACK:
         i, j, k = np.unravel_index(flat, gaps.shape)
-        witness = (float(xs[i]), float(xs[j]), float(lams[k]), worst)
+        witness = (float(xs[i]), float(xs[j]), float(lams[k]), min(worst, sys.float_info.max))
         return ConvexityVerdict(False, witness, grid, skipped)
     return ConvexityVerdict(True, None, grid, skipped)
 

@@ -39,10 +39,10 @@ class DomainError(Exception):
 
 
 class NegativeFunctionError(Exception):
-    """An integrand that must be non-negative is negative somewhere."""
+    """A function that must be non-negative (an integrand, a bound factor) is negative somewhere."""
 
     def __init__(self, witness_x: float, value: float):
-        super().__init__(f"integrand is negative at x={witness_x!r}: {value!r}")
+        super().__init__(f"function is negative at x={witness_x!r}: {value!r}")
         self.witness_x = witness_x
         self.value = value
 

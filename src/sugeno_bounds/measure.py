@@ -1,10 +1,10 @@
 """Intervals and the fuzzy measures of their subintervals.
 
-Two measure families are supported on subsets of [0, inf): Lebesgue
-(plain length) and distortion measures ``phi(length)`` for a non-decreasing
-``phi`` with ``phi(0) = 0``.  A distortion map is an ordinary expression in
-``x``, where ``x`` stands for the length argument; it is validated on a
-1001-point grid when the measure is constructed.
+A measure on subsets of [0, inf) is a distortion ``phi(length)`` for a
+non-decreasing ``phi`` with ``phi(0) = 0``; Lebesgue measure is the identity
+distortion phi(t) = t.  A distortion map is an ordinary expression in ``x``,
+where ``x`` stands for the length argument; it is validated on a 1001-point
+grid when the measure is constructed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, InvalidDistortionError
-from .expr import FunctionExpr, evaluate, evaluate_array
+from .expr import FunctionExpr, Var, evaluate, evaluate_array
 
 __all__ = ["Interval", "MeasureSpec", "lebesgue", "distortion", "measure_of"]
 
@@ -45,12 +45,11 @@ class Interval:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    kind: str  # "lebesgue" | "distortion"
-    phi: FunctionExpr | None = None
+    phi: FunctionExpr  # validated distortion map
 
 
 def lebesgue() -> MeasureSpec:
-    return MeasureSpec("lebesgue")
+    return MeasureSpec(FunctionExpr(Var(), "x"))
 
 
 def distortion(phi: FunctionExpr, base: Interval) -> MeasureSpec:
@@ -70,11 +69,9 @@ def distortion(phi: FunctionExpr, base: Interval) -> MeasureSpec:
         raise InvalidDistortionError(
             f"distortion map decreases between lengths {float(ts[i])!r} and {float(ts[i + 1])!r}"
         )
-    return MeasureSpec("distortion", phi)
+    return MeasureSpec(phi)
 
 
 def measure_of(spec: MeasureSpec, subset: Interval) -> float:
-    """Measure of an interval: its length, or phi of its length."""
-    if spec.kind == "lebesgue":
-        return subset.length
+    """Measure of an interval: phi of its length."""
     return evaluate(spec.phi, subset.length)

@@ -69,12 +69,13 @@ def solve_sup_threshold(
 ) -> FixedPointResult:
     """sup{alpha in [lo, hi] : G(alpha) >= alpha} for non-increasing G.
 
-    Raises :class:`BracketError` if the predicate fails already at ``lo``.
-    If the predicate holds at ``hi`` the supremum is ``hi`` itself.  An exact
-    tie G(alpha) == alpha found along the way is returned immediately.
+    Raises :class:`BracketError` if the bracket is not finite or the
+    predicate fails already at ``lo``.  If the predicate holds at ``hi`` the
+    supremum is ``hi`` itself.  An exact tie G(alpha) == alpha found along the
+    way is returned immediately.
     """
-    if not hi > lo:
-        raise BracketError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise BracketError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     g_lo = G(lo)
     if g_lo < lo:
         raise BracketError(f"G(lo)={g_lo!r} < lo={lo!r}: predicate fails at the left end")

@@ -31,7 +31,6 @@ from .rootfind import SolverConfig, solve_sign_change, solve_sup_threshold
 __all__ = [
     "DEFAULT_GRID",
     "IntegralResult",
-    "DistributionProfile",
     "sugeno_integral",
     "distribution_profile",
 ]
@@ -39,8 +38,8 @@ __all__ = [
 DEFAULT_GRID = 100001
 MAX_GRID = 10**7
 MAX_EXCLUDED_FRACTION = 0.001
+NEG_SLACK = 1e-12  # how far below zero a non-negative function's values may dip
 _MIN_GRID = 101
-_NEG_SLACK = 1e-12
 _REFINE_CFG = SolverConfig(tol=1e-12)
 
 
@@ -51,19 +50,6 @@ class IntegralResult:
     residual: float
     alpha_bracket: tuple[float, float]
     grid_points: int | None = None
-
-
-@dataclass(frozen=True)
-class DistributionProfile:
-    """(alpha, F(alpha)) samples at strictly increasing alphas."""
-
-    samples: tuple[tuple[float, float], ...]
-
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.samples)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.samples)
 
 
 class _LevelSets:
@@ -100,7 +86,7 @@ class _LevelSets:
         if require_nonnegative:
             i_min = int(np.nanargmin(self.vals))
             v_min = float(self.vals[i_min])
-            if v_min < -_NEG_SLACK:
+            if v_min < -NEG_SLACK:
                 raise NegativeFunctionError(float(self.xs[i_min]), v_min)
         finite_vals = self.vals[~bad]
         diffs = np.diff(finite_vals)
@@ -112,12 +98,18 @@ class _LevelSets:
 
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
-        if self.exact_boundaries:
-            if self.increasing:
-                return self._length_increasing(alpha)
-            return self._length_decreasing(alpha)
-        count = int(np.count_nonzero(self.vals >= alpha))
-        return (count / self.grid) * self.base.length
+        if not self.exact_boundaries:
+            count = int(np.count_nonzero(self.vals >= alpha))
+            return (count / self.grid) * self.base.length
+        # Non-decreasing view of the samples: the level set is a right tail of it.
+        vals, xs = (self.vals, self.xs) if self.increasing else (self.vals[::-1], self.xs[::-1])
+        if vals[0] >= alpha:
+            return self.base.length
+        if vals[-1] < alpha:
+            return 0.0
+        i = int(np.searchsorted(vals, alpha, side="left"))
+        x_star = self._refine(*sorted((float(xs[i - 1]), float(xs[i]))), alpha)
+        return abs(float(xs[-1]) - x_star)  # the level set runs from x_star to xs[-1]
 
     def _refine(self, lo: float, hi: float, alpha: float) -> float:
         # One grid cell brackets the boundary.  The scalar evaluator can
@@ -138,32 +130,8 @@ class _LevelSets:
             return lo if abs(g_lo) <= abs(g_hi) else hi
         return solve_sign_change(g, lo, hi, _REFINE_CFG)
 
-    def _length_increasing(self, alpha: float) -> float:
-        vals, xs = self.vals, self.xs
-        if vals[0] >= alpha:
-            return self.base.length
-        if vals[-1] < alpha:
-            return 0.0
-        i = int(np.searchsorted(vals, alpha, side="left"))
-        x_star = self._refine(float(xs[i - 1]), float(xs[i]), alpha)
-        return self.base.b - x_star
-
-    def _length_decreasing(self, alpha: float) -> float:
-        vals, xs = self.vals, self.xs
-        if vals[-1] >= alpha:
-            return self.base.length
-        if vals[0] < alpha:
-            return 0.0
-        j = int(np.searchsorted(vals[::-1], alpha, side="left"))
-        k = self.grid - 1 - j  # last index with vals[k] >= alpha
-        x_star = self._refine(float(xs[k]), float(xs[k + 1]), alpha)
-        return x_star - self.base.a
-
     def measure(self, alpha: float) -> float:
-        length = self.level_length(alpha)
-        if self.spec.kind == "lebesgue":
-            return length
-        return evaluate(self.spec.phi, length)
+        return evaluate(self.spec.phi, self.level_length(alpha))
 
 
 def sugeno_integral(
@@ -192,8 +160,8 @@ def distribution_profile(
     spec: MeasureSpec | None = None,
     alphas=(),
     grid: int = DEFAULT_GRID,
-) -> DistributionProfile:
-    """Sample the distribution function F at the given increasing alphas."""
+) -> tuple[tuple[float, float], ...]:
+    """(alpha, F(alpha)) pairs of the distribution function at the given increasing alphas."""
     spec = lebesgue() if spec is None else spec
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
@@ -201,4 +169,4 @@ def distribution_profile(
     if any(nxt <= cur for cur, nxt in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
     levels = _LevelSets(f, base, spec, grid)
-    return DistributionProfile(tuple((a, levels.measure(a)) for a in alphas))
+    return tuple((a, levels.measure(a)) for a in alphas)

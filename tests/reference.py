@@ -71,11 +71,7 @@ def sugeno_integral_oracle(
     alphas = np.linspace(0.0, mu_total, n_alpha)
     counts = sorted_vals.size - np.searchsorted(sorted_vals, alphas, side="left")
     lengths = (counts / grid) * base.length
-    if spec.kind == "lebesgue":
-        f_hat = lengths
-    else:
-        f_hat = evaluate_array(spec.phi, lengths)
-    return float(np.max(np.minimum(alphas, f_hat)))
+    return float(np.max(np.minimum(alphas, evaluate_array(spec.phi, lengths))))
 
 
 def _clamp01(q: float) -> float:
@@ -269,7 +265,7 @@ def check_proposition_properties(
         above = [a6 + (v_f - a6) * j / GAMMA_PROBES for j in range(1, GAMMA_PROBES + 1)]
     a7 = v_f + delta
     below = [v_f + delta * j / GAMMA_PROBES for j in range(GAMMA_PROBES)]
-    F = dict(distribution_profile(f, base, spec, sorted({a4, a5, *above, *below}), grid).samples)
+    F = dict(distribution_profile(f, base, spec, sorted({a4, a5, *above, *below}), grid))
 
     return PropertyReport(
         bounded_by_measure=bounded,
@@ -307,9 +303,7 @@ class IntervalUnion:
 
 
 def union_measure(spec: MeasureSpec, union: IntervalUnion) -> float:
-    """Measure of a finite interval union: its total length, or phi of it."""
-    if spec.kind == "lebesgue":
-        return union.total_length
+    """Measure of a finite interval union: phi of its total length."""
     return evaluate(spec.phi, union.total_length)
 
 

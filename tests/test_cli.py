@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from sugeno_bounds.cli import reproduce, run
+from sugeno_bounds.cli import emit_report, reproduce, run
 from sugeno_bounds.convexity import SMParams, envelope
 from sugeno_bounds.expr import product
 from sugeno_bounds.measure import Interval
-from sugeno_bounds.sugeno import MAX_GRID, sugeno_integral
+from sugeno_bounds.sugeno import MAX_GRID, IntegralResult, sugeno_integral
 
 
 def _run(capsys, *argv):
@@ -150,11 +150,98 @@ def test_null_measure_integrates_to_zero(capsys):
 
 
 def test_bound_bracket_failure_exit_three(capsys):
-    # literal mode with m < 1: the decreasing-case length of f's factor is
-    # negative already at beta = 0, so F(0) < 0 and no threshold is bracketed
+    # f(2) = -100 is a negative endpoint value, so the bound is refused before
+    # any solve; test_bound_overflowing_bracket_exit_three covers the exit
+    # code of a BracketError
     code, out = _run(capsys, "bound", "--f", "1-101*(x-1)", "--g", "1-0.6*(x-1)",
                      "--interval", "1,2", "--s", "1", "--m", "0.5")
     assert code == 3 and out == ""
+
+
+FORMATS = ("text", "json", "csv")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+
+
+def _report_fields(out, fmt):
+    """Field name -> value of a single-report output; text and csv values stay strings."""
+    if fmt == "json":
+        return _strict_json(out)
+    if fmt == "csv":
+        header, row = csv.reader(io.StringIO(out))
+        return dict(zip(header, row))
+    return dict(line.split(None, 1) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bound_overflowing_bracket_exit_three(capsys, fmt):
+    # (b - m*a)^2 overflows on [0, 1e300], so the solve bracket is not finite
+    code = run(["bound", "--f", "x", "--g", "x", "--interval", "0,1e300",
+                "--s", "1", "--m", "1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_bound_large_finite_bracket_still_solves(capsys):
+    code, out = _run(capsys, "bound", "--f", "x", "--g", "x", "--interval", "0,1e150",
+                     "--s", "1", "--m", "1", "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["bound"] == pytest.approx(1e150, rel=1e-12)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bound_overflowing_closed_form_exit_three(capsys, fmt):
+    # degenerate case: beta = f(a)*g(a) = 1e400 overflows to inf
+    code = run(["bound", "--f", "1e200", "--g", "1e200", "--interval", "0,1",
+                "--s", "1", "--m", "1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "overflows" in captured.err
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("f, g, where", [("-1", "1", "x=0.0: -1.0"), ("x-2", "x", "x=0.0: -2.0")])
+def test_bound_negative_endpoint_exit_three(capsys, fmt, f, g, where):
+    code = run(["bound", "--f", f, "--g", g, "--interval", "0,1",
+                "--s", "1", "--m", "1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert where in captured.err
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bound_endpoint_within_slack_is_not_negative(capsys, fmt):
+    # f(a) = -1e-13 passes the endpoint check, and the degenerate closed form
+    # would give beta = -1e-13
+    code, out = _run(capsys, "bound", "--f=-1e-13", "--g", "1", "--interval", "0,1",
+                     "--s", "1", "--m", "1", "--format", fmt)
+    assert code == 0
+    fields = _report_fields(out, fmt)
+    assert float(fields["beta"]) == 0.0 and float(fields["bound"]) == 0.0
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("f", ["-1.7e308", "1.7e308*(1-2*x)"])
+def test_convexity_overflowing_gap_is_a_finite_violation(capsys, fmt, f):
+    # the right-hand side overflows to -inf where f(x) and f(y) are both near
+    # -1.7e308 while the left-hand side stays finite: a violation whose gap is
+    # beyond the float range, reported as the largest float
+    code, out = _run(capsys, "convexity", f"--f={f}", "--interval", "0,1",
+                     "--s", "0.5", "--m", "1", "--format", fmt)
+    assert code == 0
+    fields = _report_fields(out, fmt)
+    assert fields["holds_on_grid"] in (False, "false", "False")
+    assert float(fields["witness_gap"]) == pytest.approx(sys.float_info.max, rel=1e-5)
+    assert int(fields["skipped"]) == 0
+
+
+def test_json_rejects_non_finite_fields():
+    result = IntegralResult(math.inf, "fixed_point", 0.0, (0.0, 0.0))
+    with pytest.raises(ValueError):
+        emit_report(result, "json")
 
 
 @pytest.mark.parametrize("text", [
@@ -169,27 +256,6 @@ def test_deeply_nested_expression_exit_two(capsys, text):
 
 def test_unknown_subcommand_exit_two(capsys):
     assert run(["frobnicate"]) == 2
-
-
-def test_grid_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SUGENO_GRID_N", "501")
-    code, out = _run(capsys, "integrate", "--f", "abs(x-1/2)", "--interval", "0,1",
-                     "--format", "json")
-    assert code == 0
-    assert json.loads(out)["grid_points"] == 501
-
-
-def test_grid_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("SUGENO_GRID_N", "501")
-    code, out = _run(capsys, "integrate", "--f", "abs(x-1/2)", "--interval", "0,1",
-                     "--grid", "1001", "--format", "json")
-    assert json.loads(out)["grid_points"] == 1001
-
-
-def test_bad_grid_env_exit_two(capsys, monkeypatch):
-    monkeypatch.setenv("SUGENO_GRID_N", "many")
-    code, _ = _run(capsys, "integrate", "--f", "x", "--interval", "0,1")
-    assert code == 2
 
 
 def test_infinite_tol_exit_two(capsys):
@@ -210,15 +276,12 @@ def test_unevaluable_lattice_exit_three(capsys):
     assert code == 3
 
 
-def test_oversized_grids_exit_two(capsys, monkeypatch, no_grid_alloc):
+def test_oversized_grids_exit_two(capsys, no_grid_alloc):
     too_big = str(MAX_GRID + 1)
     code, _ = _run(capsys, "integrate", "--f", "x", "--interval", "0,1", "--grid", too_big)
     assert code == 2
     code, _ = _run(capsys, "verify", "--f", "x", "--g", "x", "--interval", "0,1",
                    "--s", "1", "--m", "1", "--grid", too_big)
-    assert code == 2
-    monkeypatch.setenv("SUGENO_GRID_N", too_big)
-    code, _ = _run(capsys, "integrate", "--f", "x", "--interval", "0,1")
     assert code == 2
     code, _ = _run(capsys, "convexity", "--f", "x", "--interval", "0,1",
                    "--s", "1", "--m", "1", "--grid", "202")

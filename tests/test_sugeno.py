@@ -105,7 +105,8 @@ def test_non_monotone_integrand():
 
 
 def _level_set_measure(f, base, alpha):
-    return distribution_profile(f, base, alphas=(alpha,)).values()[0]
+    ((_, measure),) = distribution_profile(f, base, alphas=(alpha,))
+    return measure
 
 
 def test_level_set_measure():
@@ -122,8 +123,8 @@ def test_level_set_measure():
 
 def test_distribution_profile_square():
     prof = distribution_profile(parse("x^2"), Interval(1.0, 4.0), alphas=(1.0, 4.0, 16.0))
-    assert prof.alphas() == (1.0, 4.0, 16.0)
-    vals = prof.values()
+    assert tuple(a for a, _ in prof) == (1.0, 4.0, 16.0)
+    vals = [v for _, v in prof]
     assert vals[0] == pytest.approx(3.0, abs=1e-9)
     assert vals[1] == pytest.approx(2.0, abs=1e-9)
     assert vals[2] == pytest.approx(0.0, abs=1e-9)
@@ -131,9 +132,9 @@ def test_distribution_profile_square():
 
 def test_distribution_profile_linear_and_constant():
     prof = distribution_profile(parse("x"), Interval(0.0, 1.0), alphas=(0.0, 0.5, 1.0))
-    assert prof.values() == pytest.approx((1.0, 0.5, 0.0), abs=1e-9)
+    assert [v for _, v in prof] == pytest.approx([1.0, 0.5, 0.0], abs=1e-9)
     prof2 = distribution_profile(parse("0.7"), Interval(0.0, 1.0), alphas=(0.0, 0.5, 0.7))
-    assert all(v == pytest.approx(1.0, abs=1e-12) for v in prof2.values())
+    assert all(v == pytest.approx(1.0, abs=1e-12) for _, v in prof2)
 
 
 def test_profile_rejects_bad_alphas():
