@@ -5,7 +5,9 @@ A function f belongs to the class K2(s, m) on an interval when
     f(lam*x + m*(1-lam)*y) <= lam**s * f(x) + m*(1-lam)**s * f(y)
 
 for all x, y in the interval and lam in [0, 1], with s, m in (0, 1].
-``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice.
+``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice,
+scanned in slabs of x rows so that memory stays at a few MB whatever the
+lattice size (time still grows as grid^3).
 ``envelope`` builds, as an expression, the endpoint power envelope that
 dominates such a function on [a, b]; its value at x is
 
@@ -36,6 +38,7 @@ __all__ = [
 DEFAULT_LATTICE = 41
 MAX_LATTICE = 201
 _CONVEXITY_SLACK = 1e-12
+_SLAB_POINTS = 1 << 16  # lattice points per slab of x rows
 
 
 @dataclass(frozen=True)
@@ -96,34 +99,45 @@ def check_sm_convex(
     Combination points can fall outside [a, b] when m < 1; the inequality is
     tested wherever f evaluates, and non-evaluable combinations are skipped
     and counted; if every combination is skipped, EvalError is raised.  The
-    witness, when present, is the maximum-gap violation; a gap beyond the
-    float range (the right-hand side overflows to -inf) is reported as
-    sys.float_info.max.
+    witness, when present, is the maximum-gap violation (the first in
+    (x, y, lam) order on a tie); a gap beyond the float range (the
+    right-hand side overflows to -inf) is reported as sys.float_info.max.
+
+    The lattice is scanned in slabs of whole x rows of at most
+    ``_SLAB_POINTS`` points, so memory stays at a few MB whatever the
+    lattice size; time still grows as grid^3.
     """
     if not 11 <= grid <= MAX_LATTICE:
         raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
     xs = np.linspace(base.a, base.b, grid)
     lams = np.linspace(0.0, 1.0, grid)
     f_ends = evaluate_array(f, xs)
-
-    X = xs[:, None, None]
-    Y = xs[None, :, None]
-    L = lams[None, None, :]
-    points = L * X + p.m * (1.0 - L) * Y
-    lhs = evaluate_array(f, points.ravel()).reshape(points.shape)
-    with np.errstate(all="ignore"):
-        gaps = (L**p.s) * f_ends[:, None, None] + p.m * ((1.0 - L) ** p.s) * f_ends[None, :, None]
-        np.subtract(lhs, gaps, out=gaps)
     ends_ok = np.isfinite(f_ends)
-    invalid = ~(np.isfinite(lhs) & ends_ok[:, None, None] & ends_ok[None, :, None])
-    skipped = int(np.count_nonzero(invalid))
-    if skipped == gaps.size:
+    with np.errstate(all="ignore"):
+        # the (y, lam) terms and lam**s, shared by every slab
+        lam_s = lams**p.s
+        y_terms = (p.m * (1.0 - lams)) * xs[:, None]
+        fy_terms = (p.m * ((1.0 - lams) ** p.s)) * f_ends[:, None]
+    rows = max(1, _SLAB_POINTS // grid**2)
+    skipped, worst, worst_at = 0, -math.inf, None
+    for i0 in range(0, grid, rows):
+        slab = slice(i0, i0 + rows)
+        lhs = evaluate_array(f, lams * xs[slab, None, None] + y_terms)
+        with np.errstate(all="ignore"):
+            gaps = lam_s * f_ends[slab, None, None] + fy_terms
+            np.subtract(lhs, gaps, out=gaps)
+        invalid = ~(np.isfinite(lhs) & ends_ok[slab, None, None] & ends_ok[:, None])
+        skipped += int(np.count_nonzero(invalid))
+        gaps[invalid] = -np.inf
+        flat = int(np.argmax(gaps))
+        if gaps.flat[flat] > worst:  # strict: on a tie the earlier slab keeps the witness
+            worst = float(gaps.flat[flat])
+            i, j, k = np.unravel_index(flat, gaps.shape)
+            worst_at = (i0 + i, j, k)
+    if skipped == grid**3:
         raise EvalError(f"f is not evaluable at any of the {skipped} lattice combinations")
-    gaps[invalid] = -np.inf
-    flat = int(np.argmax(gaps))
-    worst = float(gaps.flat[flat])
     if worst > _CONVEXITY_SLACK:
-        i, j, k = np.unravel_index(flat, gaps.shape)
+        i, j, k = worst_at
         witness = (float(xs[i]), float(xs[j]), float(lams[k]), min(worst, sys.float_info.max))
         return ConvexityVerdict(False, witness, grid, skipped)
     return ConvexityVerdict(True, None, grid, skipped)

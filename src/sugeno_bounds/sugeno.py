@@ -10,6 +10,9 @@ diagonal.  It is computed by bisecting on the predicate F(alpha) >= alpha.
 The integrand is sampled on an x grid.  When the sampled values are
 monotone, the level-set boundary is refined by bisection and the level set
 is an exact interval; otherwise the measure falls back to grid counting.
+A boundary cell with an end that the scalar evaluator rejects although the
+grid evaluated it is split at its midpoint instead; the result then reports
+its grid (``grid_points``) and a RuntimeWarning says so.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.
@@ -32,7 +35,6 @@ __all__ = [
     "DEFAULT_GRID",
     "IntegralResult",
     "sugeno_integral",
-    "distribution_profile",
 ]
 
 DEFAULT_GRID = 100001
@@ -95,6 +97,7 @@ class _LevelSets:
         self.increasing = not falling  # non-decreasing; constants count
         self.decreasing = not rising
         self.exact_boundaries = (self.increasing or self.decreasing) and self.n_excluded == 0
+        self.midpoint_cells = 0  # boundary cells with a non-evaluable end, split at the midpoint
 
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
@@ -121,6 +124,7 @@ class _LevelSets:
                 return math.nan
         g_lo, g_hi = g(lo), g(hi)
         if math.isnan(g_lo) or math.isnan(g_hi):
+            self.midpoint_cells += 1
             return 0.5 * (lo + hi)
         if g_lo == 0.0:
             return lo
@@ -151,22 +155,13 @@ def sugeno_integral(
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         return IntegralResult(0.0, "fixed_point", abs(mu_total), (0.0, 0.0), grid_points)
     res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
+    if levels.midpoint_cells:
+        grid_points = grid
+        warnings.warn(
+            f"{levels.midpoint_cells} level-set boundary search(es) met a non-evaluable cell end "
+            "and took the cell midpoint",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
 
-
-def distribution_profile(
-    f: FunctionExpr,
-    base: Interval,
-    spec: MeasureSpec | None = None,
-    alphas=(),
-    grid: int = DEFAULT_GRID,
-) -> tuple[tuple[float, float], ...]:
-    """(alpha, F(alpha)) pairs of the distribution function at the given increasing alphas."""
-    spec = lebesgue() if spec is None else spec
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ValueError("alphas must be non-empty")
-    if any(nxt <= cur for cur, nxt in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
-    levels = _LevelSets(f, base, spec, grid)
-    return tuple((a, levels.measure(a)) for a in alphas)

@@ -2,6 +2,10 @@
 
 * ``sugeno_integral_oracle``: brute-force sup-min over an alpha lattice, a
   second route to the Sugeno integral that shares no solver with the engine.
+* ``distribution_profile``: the distribution function F(alpha) of the engine's
+  level sets at chosen alphas.
+* ``check_sm_convex_whole``: the (s,m)-convexity check on the whole grid^3
+  lattice at once, the oracle for the slab-by-slab ``check_sm_convex``.
 * ``increasing_beta_convex`` / ``decreasing_beta_convex``: the plain-convex
   (s = m = 1) specialisations of the endpoint-bound equation, written out
   with the same floating-point operations as the general solver.
@@ -19,19 +23,19 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from sugeno_bounds.bounds import BetaResult, CaseTag
-from sugeno_bounds.convexity import SMParams, envelope
+from sugeno_bounds.convexity import _CONVEXITY_SLACK, ConvexityVerdict, SMParams, envelope
 from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionError
 from sugeno_bounds.expr import (BinOp, FunctionExpr, Neg, Node, Num, Var, constant, evaluate,
                                 evaluate_array)
 from sugeno_bounds.measure import Interval, MeasureSpec, lebesgue, measure_of
 from sugeno_bounds.rootfind import SolverConfig, solve_sup_threshold
-from sugeno_bounds.sugeno import (DEFAULT_GRID, MAX_EXCLUDED_FRACTION, distribution_profile,
-                                  sugeno_integral)
+from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_EXCLUDED_FRACTION, _LevelSets, sugeno_integral
 
 ORACLE_MIN_GRID = 101
 NEG_SLACK = 1e-12
@@ -72,6 +76,53 @@ def sugeno_integral_oracle(
     counts = sorted_vals.size - np.searchsorted(sorted_vals, alphas, side="left")
     lengths = (counts / grid) * base.length
     return float(np.max(np.minimum(alphas, evaluate_array(spec.phi, lengths))))
+
+
+def distribution_profile(
+    f: FunctionExpr,
+    base: Interval,
+    spec: MeasureSpec | None = None,
+    alphas=(),
+    grid: int = DEFAULT_GRID,
+) -> tuple[tuple[float, float], ...]:
+    """(alpha, F(alpha)) pairs of the distribution function at the given increasing alphas."""
+    spec = lebesgue() if spec is None else spec
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas must be non-empty")
+    if any(nxt <= cur for cur, nxt in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly increasing")
+    levels = _LevelSets(f, base, spec, grid)
+    return tuple((a, levels.measure(a)) for a in alphas)
+
+
+def check_sm_convex_whole(f: FunctionExpr, base: Interval, p: SMParams, grid: int) -> ConvexityVerdict:
+    """``check_sm_convex`` with the whole grid^3 lattice built at once."""
+    xs = np.linspace(base.a, base.b, grid)
+    lams = np.linspace(0.0, 1.0, grid)
+    f_ends = evaluate_array(f, xs)
+
+    X = xs[:, None, None]
+    Y = xs[None, :, None]
+    L = lams[None, None, :]
+    points = L * X + p.m * (1.0 - L) * Y
+    lhs = evaluate_array(f, points.ravel()).reshape(points.shape)
+    with np.errstate(all="ignore"):
+        gaps = (L**p.s) * f_ends[:, None, None] + p.m * ((1.0 - L) ** p.s) * f_ends[None, :, None]
+        np.subtract(lhs, gaps, out=gaps)
+    ends_ok = np.isfinite(f_ends)
+    invalid = ~(np.isfinite(lhs) & ends_ok[:, None, None] & ends_ok[None, :, None])
+    skipped = int(np.count_nonzero(invalid))
+    if skipped == gaps.size:
+        raise EvalError(f"f is not evaluable at any of the {skipped} lattice combinations")
+    gaps[invalid] = -np.inf
+    flat = int(np.argmax(gaps))
+    worst = float(gaps.flat[flat])
+    if worst > _CONVEXITY_SLACK:
+        i, j, k = np.unravel_index(flat, gaps.shape)
+        witness = (float(xs[i]), float(xs[j]), float(lams[k]), min(worst, sys.float_info.max))
+        return ConvexityVerdict(False, witness, grid, skipped)
+    return ConvexityVerdict(True, None, grid, skipped)
 
 
 def _clamp01(q: float) -> float:

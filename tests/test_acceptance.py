@@ -20,6 +20,7 @@ from conftest import record_acceptance
 from reference import (
     check_proposition_properties,
     decreasing_beta_convex,
+    distribution_profile,
     increasing_beta_convex,
     power_sum_gap,
     sugeno_integral_oracle,
@@ -31,7 +32,7 @@ from sugeno_bounds.convexity import EndpointData, SMParams, check_sm_convex, env
 from sugeno_bounds.expr import constant, parse, product
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
-from sugeno_bounds.sugeno import distribution_profile, sugeno_integral
+from sugeno_bounds.sugeno import sugeno_integral
 
 TIGHT = SolverConfig(tol=1e-14)
 

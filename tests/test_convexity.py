@@ -1,13 +1,16 @@
 """Grid membership checks, endpoint envelopes, and the reference power-sum gap."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import check_envelope_dominates, power_sum_gap
+from reference import check_envelope_dominates, check_sm_convex_whole, power_sum_gap
+from sugeno_bounds import convexity
 from sugeno_bounds.convexity import (
     MAX_LATTICE,
     EndpointData,
@@ -17,8 +20,10 @@ from sugeno_bounds.convexity import (
     envelope,
 )
 from sugeno_bounds.exceptions import DomainError, EvalError
-from sugeno_bounds.expr import evaluate, evaluate_array, parse
+from sugeno_bounds.expr import (BinOp, Call, FunctionExpr, Num, Var, evaluate, evaluate_array,
+                                parse)
 from sugeno_bounds.measure import Interval
+from test_expr import _trees
 
 
 def test_params_validation():
@@ -142,6 +147,55 @@ def test_nowhere_evaluable_lattice_raises(text):
     # every combination is skipped, so a "holds" verdict would be vacuous
     with pytest.raises(EvalError):
         check_sm_convex(parse(text), Interval(0.0, 1.0), SMParams(1.0, 1.0), grid=11)
+
+
+def _verdict_or_error(check, f, base, p, grid):
+    try:
+        return check(f, base, p, grid)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+# Grids with one slab (grid^3 within the slab budget), several slabs, and one
+# x row per slab (grid^2 above half the budget); a budget of 1000 points
+# puts one x row in each slab from grid 32 on.  The sqrt(x - c) term is
+# undefined left of c, so with m < 1 some combinations are skipped.
+@settings(max_examples=40, deadline=None)
+@given(tree=_trees(4),
+       a=st.floats(min_value=0.0, max_value=3.0),
+       width=st.floats(min_value=0.5, max_value=3.0),
+       cut=st.floats(min_value=-0.5, max_value=0.5),
+       s=st.floats(min_value=0.05, max_value=1.0),
+       m=st.floats(min_value=0.05, max_value=0.95),
+       grid=st.sampled_from([11, 40, 41, 101, 182]),
+       slab_points=st.sampled_from([convexity._SLAB_POINTS, 1000]))
+@example(tree=parse("1/2-abs(x-1/2)").root, a=0.0, width=1.0, cut=None, s=1.0, m=1.0,
+         grid=41, slab_points=convexity._SLAB_POINTS)  # tied witnesses at x = 0 and x = 1
+@example(tree=parse("x").root, a=0.0, width=1.0, cut=5.0, s=1.0, m=0.5, grid=11,
+         slab_points=1000)  # every combination skipped
+@example(tree=parse("1.7e308*(1-2*x)").root, a=0.0, width=1.0, cut=None, s=0.5, m=1.0,
+         grid=41, slab_points=convexity._SLAB_POINTS)  # gap beyond the float range
+def test_slabs_match_whole_lattice(tree, a, width, cut, s, m, grid, slab_points):
+    # the slab scan keeps every gap bit-identical, the skipped count and the
+    # first-maximum witness of the whole-lattice argmax
+    if cut is not None:
+        tree = BinOp("+", tree, Call("sqrt", (BinOp("-", Var(), Num(a + cut * width)),)))
+    f, base, p = FunctionExpr(tree, "<built>"), Interval(a, a + width), SMParams(s, m)
+    want = _verdict_or_error(check_sm_convex_whole, f, base, p, grid)
+    with mock.patch.object(convexity, "_SLAB_POINTS", slab_points):
+        got = _verdict_or_error(check_sm_convex, f, base, p, grid)
+    assert got == want
+
+
+def test_lattice_memory_is_bounded():
+    f, base, p = parse("x^(1/2)"), Interval(1.0, 4.0), SMParams(0.5, 0.7)
+    tracemalloc.start()
+    try:
+        check_sm_convex(f, base, p, grid=MAX_LATTICE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ import warnings
 import mpmath
 import pytest
 
-from reference import PreconditionError, check_proposition_properties, sugeno_integral_oracle
+from reference import (PreconditionError, check_proposition_properties, distribution_profile,
+                       sugeno_integral_oracle)
 from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
 from sugeno_bounds.expr import constant, parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
-from sugeno_bounds.sugeno import MAX_GRID, distribution_profile, sugeno_integral
+from sugeno_bounds.sugeno import MAX_GRID, sugeno_integral
 
 mpmath.mp.dps = 50
 
@@ -95,6 +96,15 @@ def test_grid_cap_checked_before_allocation(no_grid_alloc):
         distribution_profile(f, box, alphas=(0.5,), grid=MAX_GRID + 1)
     with pytest.raises(ValueError):
         check_proposition_properties(f, f, 0.5, box, grid=MAX_GRID + 1)
+
+
+def test_midpoint_fallback_is_reported():
+    # the grid evaluates 1/exp(1000*x) to 0 where the scalar evaluator
+    # raises, so boundary cells fall back to their midpoints: not exact
+    f = parse("0.1*x+1-1/exp(1000*x)")
+    with pytest.warns(RuntimeWarning, match="cell midpoint"):
+        res = sugeno_integral(f, Interval(0.0, 2.0))
+    assert res.grid_points == 100001
 
 
 def test_non_monotone_integrand():
