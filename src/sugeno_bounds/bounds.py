@@ -191,7 +191,8 @@ def verify_hadamard(
     """Integrate f*g, compute the endpoint bounds, and report the measured margin."""
     cfg = SolverConfig() if cfg is None else cfg
     integral = sugeno_integral(product(f, g), base, lebesgue(), cfg, grid)
-    bound = hadamard_bound(f, g, base, p, cfg, literal)
-    kir = kirmaci_bound(endpoint_data(f, g, base), p.s)
+    e = endpoint_data(f, g, base)
+    bound = endpoint_bound(e, base, p, cfg, literal)
+    kir = kirmaci_bound(e, p.s)
     margin = bound.bound - integral.value
     return VerificationReport(integral, bound, kir, margin >= -HOLDS_TOL, margin)

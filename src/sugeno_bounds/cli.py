@@ -148,17 +148,15 @@ def _case_39() -> list[ReproduceRow]:
 
 
 _CASES = {"3.2": _case_32, "3.8": _case_38, "3.9": _case_39}
+_CASE_CHOICES = (*_CASES, "all")
 
 
 def reproduce(case: str = "all") -> list[ReproduceRow]:
     """Recompute the bundled worked cases and compare against golden values."""
     if case == "all":
-        rows = []
-        for key in ("3.2", "3.8", "3.9"):
-            rows.extend(_CASES[key]())
-        return rows
+        return [row for run_case in _CASES.values() for row in run_case()]
     if case not in _CASES:
-        raise _UsageError(f"unknown case {case!r}; pick one of 3.2, 3.8, 3.9, all")
+        raise _UsageError(f"unknown case {case!r}; pick one of {', '.join(_CASE_CHOICES)}")
     return _CASES[case]()
 
 
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid check of (s,m)-convexity in the second sense")
     p.add_argument("--grid", type=int, default=DEFAULT_LATTICE)
     p = sub.add_parser("reproduce", parents=[fmt], help="recompute the bundled worked cases")
-    p.add_argument("--case", choices=["3.2", "3.8", "3.9", "all"], default="all")
+    p.add_argument("--case", choices=_CASE_CHOICES, default="all")
     return parser
 
 

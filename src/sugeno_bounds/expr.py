@@ -18,15 +18,18 @@ the grammar (parentheses, unary minus, ``^``, call arguments) or in the tree
 it builds (operands of ``+ - * /`` too), so neither parsing nor evaluation
 can hit the recursion limit.  A bare ``x`` is one level deep.
 
-Evaluation is strict about definedness: division by zero, ``ln`` of a
-non-positive value, fractional powers of negative bases, and non-finite
-intermediates all raise :class:`EvalError`.  The vectorized route
-(:func:`evaluate_array`) marks such points NaN instead.
+One tree walk evaluates an expression over one of two operator tables:
+``operator``/``math`` functions on a float (:func:`evaluate` raises
+:class:`EvalError` naming the failing operation) or numpy ufuncs on an
+array (:func:`evaluate_array` marks the point NaN).  Both apply one rule:
+``f`` is undefined where any node's value, literals included, is not
+finite, so ``1e400`` is undefined and so is ``1/exp(1000*x)`` at ``x = 1``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -242,107 +245,111 @@ def parse(text: str) -> FunctionExpr:
     return FunctionExpr(root, text)
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise EvalError("non-finite intermediate value")
-    return value
+def _walk(node: Node, x, ops: dict):
+    """Value of ``node`` at ``x`` (a float or an array) under the operator table ``ops``."""
+    kind = type(node)  # exact types, most frequent first: this is the hot loop
+    if kind is BinOp:
+        return ops[node.op](_walk(node.left, x, ops), _walk(node.right, x, ops))
+    if kind is Var:
+        return x
+    if kind is Num:
+        return node.value
+    if kind is Neg:
+        return -_walk(node.operand, x, ops)
+    first = _walk(node.args[0], x, ops)
+    if len(node.args) == 1:
+        return ops[node.name](first)
+    return ops[node.name](first, _walk(node.args[1], x, ops))
 
 
-def _pow(base: float, exponent: float) -> float:
-    if base < 0.0 and not float(exponent).is_integer():
+# Only / ^ pow exp can turn an infinity finite again, so in both tables they
+# check their operands; any other non-finite value reaches the root.
+
+
+def _divide(a: float, b: float) -> float:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise EvalError("non-finite operand of /")
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _power(a: float, b: float) -> float:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise EvalError("non-finite operand of a power")
+    if a < 0.0 and not float(b).is_integer():
         raise EvalError("fractional power of a negative base")
-    if base == 0.0 and exponent < 0.0:
+    if a == 0.0 and b < 0.0:
         raise EvalError("zero raised to a negative power")
     try:
-        out = math.pow(base, exponent)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"power failed: {exc}") from None
-    return _finite(out)
+        return math.pow(a, b)
+    except OverflowError:
+        raise EvalError("overflow in a power") from None
 
 
-def _eval(node: Node, x: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, x)
-        right = _eval(node.right, x)
-        if node.op == "+":
-            return _finite(left + right)
-        if node.op == "-":
-            return _finite(left - right)
-        if node.op == "*":
-            return _finite(left * right)
-        if node.op == "/":
-            if right == 0.0:
-                raise EvalError("division by zero")
-            return _finite(left / right)
-        return _pow(left, right)
-    arg = _eval(node.args[0], x)
-    if node.name == "sqrt":
-        if arg < 0.0:
-            raise EvalError("square root of a negative value")
-        return math.sqrt(arg)
-    if node.name == "exp":
-        try:
-            return _finite(math.exp(arg))
-        except OverflowError:
-            raise EvalError("overflow in exp") from None
-    if node.name == "ln":
-        if arg <= 0.0:
-            raise EvalError("ln of a non-positive value")
-        return math.log(arg)
-    if node.name == "abs":
-        return abs(arg)
-    return _pow(arg, _eval(node.args[1], x))
+def _exp(a: float) -> float:
+    if not math.isfinite(a):
+        raise EvalError("non-finite operand of exp")
+    try:
+        return math.exp(a)
+    except OverflowError:
+        raise EvalError("overflow in exp") from None
+
+
+def _sqrt(a: float) -> float:
+    if a < 0.0:
+        raise EvalError("square root of a negative value")
+    return math.sqrt(a)
+
+
+def _ln(a: float) -> float:
+    if a <= 0.0:
+        raise EvalError("ln of a non-positive value")
+    return math.log(a)
+
+
+_SCALAR = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+           "^": _power, "pow": _power, "exp": _exp, "sqrt": _sqrt, "ln": _ln, "abs": abs}
+
+
+def _nan_where_operand_nonfinite(ufunc):
+    """Array table entry for / ^ pow exp: ``ufunc``, NaN where an operand is non-finite."""
+    def entry(*args):
+        out = ufunc(*args)
+        for a in args:
+            finite = np.isfinite(a)
+            if not finite.all():
+                out = np.where(finite, out, np.nan)
+        return out
+    return entry
+
+
+_ARRAY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+          "/": _nan_where_operand_nonfinite(np.divide),
+          "^": _nan_where_operand_nonfinite(np.power),
+          "pow": _nan_where_operand_nonfinite(np.power),
+          "exp": _nan_where_operand_nonfinite(np.exp),
+          "sqrt": np.sqrt, "ln": np.log, "abs": np.abs}
 
 
 def evaluate(f: FunctionExpr, x: float) -> float:
     """Evaluate ``f`` at ``x``; raises :class:`EvalError` where undefined."""
-    return _eval(f.root, float(x))
-
-
-def _eval_np(node: Node, xs: np.ndarray):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return xs
-    if isinstance(node, Neg):
-        return np.negative(_eval_np(node.operand, xs))
-    if isinstance(node, BinOp):
-        left = _eval_np(node.left, xs)
-        right = _eval_np(node.right, xs)
-        if node.op == "+":
-            return np.add(left, right)
-        if node.op == "-":
-            return np.subtract(left, right)
-        if node.op == "*":
-            return np.multiply(left, right)
-        if node.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    arg = _eval_np(node.args[0], xs)
-    if node.name == "sqrt":
-        return np.sqrt(arg)
-    if node.name == "exp":
-        return np.exp(arg)
-    if node.name == "ln":
-        return np.log(arg)
-    if node.name == "abs":
-        return np.abs(arg)
-    return np.power(arg, _eval_np(node.args[1], xs))
+    out = _walk(f.root, float(x), _SCALAR)
+    if not math.isfinite(out):
+        raise EvalError("non-finite intermediate value")
+    return out
 
 
 def evaluate_array(f: FunctionExpr, xs) -> np.ndarray:
     """Vectorized evaluation; points where ``f`` is undefined come back NaN."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval_np(f.root, xs)
-    out = np.array(np.broadcast_to(out, xs.shape), dtype=float)
-    out[~np.isfinite(out)] = np.nan
+        out = _walk(f.root, xs, _ARRAY)
+        if out is xs or np.ndim(out) == 0:  # a bare x or a constant: copy, never share
+            out = np.array(np.broadcast_to(out, xs.shape), dtype=float)
+        finite = np.isfinite(out)
+        if not finite.all():
+            out[~finite] = np.nan
     return out
 
 

@@ -10,9 +10,9 @@ diagonal.  It is computed by bisecting on the predicate F(alpha) >= alpha.
 The integrand is sampled on an x grid.  When the sampled values are
 monotone, the level-set boundary is refined by bisection and the level set
 is an exact interval; otherwise the measure falls back to grid counting.
-A boundary cell with an end that the scalar evaluator rejects although the
-grid evaluated it is split at its midpoint instead; the result then reports
-its grid (``grid_points``) and a RuntimeWarning says so.
+The grid and the bisection use the two forms of one expression walk, with
+one rule for where the integrand is defined, so a boundary cell's ends are
+evaluable; an EvalError inside the bisection propagates.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.
@@ -20,7 +20,6 @@ sets and counted; the integral proceeds only while exclusions stay below
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -97,7 +96,6 @@ class _LevelSets:
         self.increasing = not falling  # non-decreasing; constants count
         self.decreasing = not rising
         self.exact_boundaries = (self.increasing or self.decreasing) and self.n_excluded == 0
-        self.midpoint_cells = 0  # boundary cells with a non-evaluable end, split at the midpoint
 
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
@@ -115,17 +113,11 @@ class _LevelSets:
         return abs(float(xs[-1]) - x_star)  # the level set runs from x_star to xs[-1]
 
     def _refine(self, lo: float, hi: float, alpha: float) -> float:
-        # One grid cell brackets the boundary.  The scalar evaluator can
-        # disagree with the vectorized grid by an ulp, so guard both ends.
+        # One grid cell brackets the boundary.  libm and numpy can differ by
+        # an ulp in exp and pow, so both ends may fall on one side of alpha.
         def g(t: float) -> float:
-            try:
-                return evaluate(self.f, t) - alpha
-            except EvalError:
-                return math.nan
+            return evaluate(self.f, t) - alpha
         g_lo, g_hi = g(lo), g(hi)
-        if math.isnan(g_lo) or math.isnan(g_hi):
-            self.midpoint_cells += 1
-            return 0.5 * (lo + hi)
         if g_lo == 0.0:
             return lo
         if g_hi == 0.0:
@@ -155,13 +147,5 @@ def sugeno_integral(
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         return IntegralResult(0.0, "fixed_point", abs(mu_total), (0.0, 0.0), grid_points)
     res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
-    if levels.midpoint_cells:
-        grid_points = grid
-        warnings.warn(
-            f"{levels.midpoint_cells} level-set boundary search(es) met a non-evaluable cell end "
-            "and took the cell midpoint",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
 

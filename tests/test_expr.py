@@ -18,6 +18,7 @@ from sugeno_bounds.expr import (
     MAX_DEPTH,
     BinOp,
     Call,
+    FunctionExpr,
     Num,
     Var,
     constant,
@@ -286,8 +287,91 @@ def _trees(depth):
 @settings(max_examples=150, deadline=None)
 @given(tree=_trees(4), x=st.floats(min_value=0.1, max_value=3.0, allow_nan=False))
 def test_roundtrip_random_trees(tree, x):
-    from sugeno_bounds.expr import FunctionExpr
-
     f = FunctionExpr(tree, "<built>")
     text = to_text(f)
     assert evaluate(parse(text), x) == evaluate(f, x)
+
+
+def _same_definedness(f, x, rel=0.0):
+    # the scalar form raises exactly where the array form gives NaN, and
+    # elsewhere they agree to ``rel`` (libm and numpy differ by an ulp in
+    # exp, ln and pow)
+    got = float(evaluate_array(f, [x])[0])
+    try:
+        want = evaluate(f, x)
+    except EvalError:
+        assert math.isnan(got)
+        return
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees(4), x=st.floats(min_value=0.1, max_value=3.0, allow_nan=False))
+def test_scalar_and_array_agree_on_trees(tree, x):
+    _same_definedness(FunctionExpr(tree, "<built>"), x)
+
+
+_wide_leaf = st.one_of(
+    st.builds(Num, st.floats(min_value=-1e300, max_value=1e300)),
+    st.just(Var()),
+)
+
+
+def _wide_trees(depth):
+    if depth == 0:
+        return _wide_leaf
+    sub = _wide_trees(depth - 1)
+    return st.one_of(
+        _wide_leaf,
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(["sqrt", "exp", "ln"]), sub),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_wide_trees(4), x=st.floats(min_value=-1e3, max_value=1e3))
+def test_scalar_and_array_agree_on_wide_trees(tree, x):
+    _same_definedness(FunctionExpr(tree, "<built>"), x, rel=1e-9)
+
+
+@pytest.mark.parametrize("source,x", [
+    ("1/exp(1000*x)", 1.0),      # exp overflows; 1/inf would be 0
+    ("1/ln(exp(1000*x))", 1.0),  # ln(inf) is inf; 1/inf would be 0, not 0.001
+    ("exp(0-1/x)", 0.0),         # 1/0; exp(-inf) would be 0
+    ("1e400", 0.5),              # a literal beyond the float range
+    ("1/1e400", 0.5),
+    ("exp(0-1e400)", 0.5),
+])
+def test_non_finite_anywhere_is_undefined(source, x):
+    f = parse(source)
+    with pytest.raises(EvalError):
+        evaluate(f, x)
+    assert math.isnan(evaluate_array(f, [x])[0])
+    _same_definedness(f, x)
+
+
+@pytest.mark.parametrize("source,x,message", [
+    ("1/x", 0.0, "division by zero"),
+    ("ln(x)", 0.0, "ln of a non-positive value"),
+    ("sqrt(x)", -1.0, "square root of a negative value"),
+    ("exp(x)", 1e6, "overflow in exp"),
+    ("x^0.5", -4.0, "fractional power of a negative base"),
+    ("pow(x, 0-2)", 0.0, "zero raised to a negative power"),
+    ("x^400", 10.0, "overflow in a power"),
+    ("1/(x*1e308)", 10.0, "non-finite operand of /"),
+    ("x*1e308", 10.0, "non-finite intermediate value"),
+])
+def test_eval_error_names_the_operation(source, x, message):
+    with pytest.raises(EvalError, match=message):
+        evaluate(parse(source), x)
+
+
+def test_array_output_is_never_the_input():
+    import numpy as np
+
+    xs = np.array([-1.0, 0.5, np.inf])
+    for source in ("x", "2", "1e400"):
+        out = evaluate_array(parse(source), xs)
+        assert out is not xs and out.shape == xs.shape
+    out = evaluate_array(parse("x"), xs)
+    assert math.isnan(out[2]) and xs[2] == np.inf  # masked in the copy, not the input

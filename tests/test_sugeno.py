@@ -12,6 +12,7 @@ import pytest
 
 from reference import (PreconditionError, check_proposition_properties, distribution_profile,
                        sugeno_integral_oracle)
+from sugeno_bounds.cli import run
 from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
 from sugeno_bounds.expr import constant, parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
@@ -98,13 +99,14 @@ def test_grid_cap_checked_before_allocation(no_grid_alloc):
         check_proposition_properties(f, f, 0.5, box, grid=MAX_GRID + 1)
 
 
-def test_midpoint_fallback_is_reported():
-    # the grid evaluates 1/exp(1000*x) to 0 where the scalar evaluator
-    # raises, so boundary cells fall back to their midpoints: not exact
-    f = parse("0.1*x+1-1/exp(1000*x)")
-    with pytest.warns(RuntimeWarning, match="cell midpoint"):
-        res = sugeno_integral(f, Interval(0.0, 2.0))
-    assert res.grid_points == 100001
+def test_intermediate_overflow_is_undefined(capsys):
+    # exp(1000*x) overflows for x > 0.7098, so 1/exp(1000*x) is undefined
+    # there in both evaluators, not 0: most of the grid is not evaluable
+    text = "0.1*x+1-1/exp(1000*x)"
+    with pytest.raises(EvalError, match="64511 of 100001"):
+        sugeno_integral(parse(text), Interval(0.0, 2.0))
+    assert run(["integrate", "--f", text, "--interval", "0,2"]) == 3
+    assert "not evaluable" in capsys.readouterr().err
 
 
 def test_non_monotone_integrand():
