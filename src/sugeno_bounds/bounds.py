@@ -18,6 +18,12 @@ and neither do negative endpoint values or a threshold that overflows.
 them (they can stray outside [0, b - a] when m < 1); measure-consistent mode
 clamps each factor to [0, b - a].  The two coincide for m = 1.
 
+``solve_sup_threshold`` trusts its G to be non-increasing.  The envelope
+product can rise in the literal decreasing case with m < 1 (a factor length
+w * Q**(1/s) + (m*a - a) can turn negative), so ``endpoint_bound`` probes F
+at a few points after the solve and warns if it rises; the integral engine's
+F is a distribution function and needs no probe.
+
 ``verify_hadamard`` computes the integral of f*g, the bound, and the
 endpoint (Kirmaci-type) comparison value, and reports the measured margin;
 it never asserts the inequality, it measures it.
@@ -26,6 +32,7 @@ it never asserts the inequality, it measures it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -51,6 +58,7 @@ __all__ = [
 
 CASE_TIE_TOL = 1e-9
 HOLDS_TOL = 1e-6
+_PROBE_POINTS = 8
 
 
 class CaseTag(Enum):
@@ -127,6 +135,15 @@ def envelope_distribution(
     return F
 
 
+def _warn_if_rising(F: Callable[[float], float], lo: float, hi: float) -> None:
+    ts = [lo + k * (hi - lo) / (_PROBE_POINTS + 1) for k in range(1, _PROBE_POINTS + 1)]
+    fs = [F(t) for t in ts]
+    slack = 1e-9 * (1.0 + max(abs(v) for v in fs))
+    if any(cur > prev + slack for prev, cur in zip(fs, fs[1:])):
+        warnings.warn("endpoint_bound: the envelope distribution does not look non-increasing; "
+                      "the returned threshold may not be the supremum", RuntimeWarning, stacklevel=3)
+
+
 def endpoint_bound(
     e: EndpointData,
     base: Interval,
@@ -154,7 +171,9 @@ def endpoint_bound(
     cfg = SolverConfig() if cfg is None else cfg
     F = envelope_distribution(e, base, p, literal)
     w = base.b - p.m * base.a
-    res = solve_sup_threshold(F, 0.0, max(w * w, base.length), cfg)
+    hi = max(w * w, base.length)
+    res = solve_sup_threshold(F, 0.0, hi, cfg)
+    _warn_if_rising(F, 0.0, hi)
     return BetaResult(res.value, res.residual, min(res.value, base.length), tag, literal)
 
 

@@ -4,13 +4,14 @@
 non-increasing G by bisecting on the predicate G(alpha) >= alpha.  This is
 robust to jump discontinuities in G, where a plain root finder on
 G(alpha) - alpha would fail.  ``solve_sign_change`` is ordinary bisection
-for continuous sign changes.
+for continuous sign changes.  Both are entry points over one halving loop.
+Neither probes G for monotonicity: the integral's G is non-increasing by
+construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,8 +23,6 @@ __all__ = [
     "solve_sup_threshold",
     "solve_sign_change",
 ]
-
-_SPOT_CHECK_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -41,24 +40,30 @@ class SolverConfig:
 class FixedPointResult:
     value: float
     residual: float
-    iterations: int
     bracket: tuple[float, float]
 
 
-def _spot_check_non_increasing(G: Callable[[float], float], lo: float, hi: float) -> None:
-    # Cheap sanity probe only; callers are trusted to pass non-increasing G.
-    ts = [lo + k * (hi - lo) / (_SPOT_CHECK_POINTS + 1) for k in range(1, _SPOT_CHECK_POINTS + 1)]
-    gs = [G(t) for t in ts]
-    slack = 1e-9 * (1.0 + max(abs(v) for v in gs))
-    for prev, cur in zip(gs, gs[1:]):
-        if cur > prev + slack:
-            warnings.warn(
-                "solve_sup_threshold: G does not look non-increasing on the bracket; "
-                "the returned threshold may not be the supremum",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
+def _halve(
+    h: Callable[[float], float], a: float, b: float, h_a: float, keep_positive: bool, tol: float
+) -> tuple[float, float, float]:
+    """Halve [a, b] until it is narrower than ``tol`` or float resolution is reached.
+
+    A midpoint t replaces ``a`` when (h(t) > 0) == keep_positive and ``b``
+    otherwise; an exact h(t) == 0 collapses the bracket to t.  Returns the
+    final (a, b, h(a)).
+    """
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break  # float resolution reached
+        h_mid = h(mid)
+        if h_mid == 0.0:
+            return mid, mid, 0.0
+        if (h_mid > 0.0) == keep_positive:
+            a, h_a = mid, h_mid
+        else:
+            b = mid
+    return a, b, h_a
 
 
 def solve_sup_threshold(
@@ -79,27 +84,11 @@ def solve_sup_threshold(
     g_lo = G(lo)
     if g_lo < lo:
         raise BracketError(f"G(lo)={g_lo!r} < lo={lo!r}: predicate fails at the left end")
-    _spot_check_non_increasing(G, lo, hi)
     g_hi = G(hi)
     if g_hi >= hi:
-        return FixedPointResult(hi, abs(g_hi - hi), 0, (hi, hi))
-
-    a, b = lo, hi
-    g_a = g_lo
-    iterations = 0
-    while b - a > cfg.tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # float resolution reached
-        g_mid = G(mid)
-        iterations += 1
-        if g_mid == mid:
-            return FixedPointResult(mid, 0.0, iterations, (mid, mid))
-        if g_mid >= mid:
-            a, g_a = mid, g_mid
-        else:
-            b = mid
-    return FixedPointResult(a, abs(g_a - a), iterations, (a, b))
+        return FixedPointResult(hi, abs(g_hi - hi), (hi, hi))
+    a, b, h_a = _halve(lambda t: G(t) - t, lo, hi, g_lo - lo, True, cfg.tol)
+    return FixedPointResult(a, abs(h_a), (a, b))
 
 
 def solve_sign_change(
@@ -119,18 +108,5 @@ def solve_sign_change(
         return hi
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise BracketError(f"no sign change: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
-
-    lo_positive = g_lo > 0.0
-    a, b = lo, hi
-    while b - a > cfg.tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == lo_positive:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    a, b, _ = _halve(g, lo, hi, g_lo, g_lo > 0.0, cfg.tol)
+    return 0.5 * (a + b)  # a tie leaves a == b, and 0.5 * (t + t) == t

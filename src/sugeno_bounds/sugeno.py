@@ -4,8 +4,10 @@ The Sugeno integral over a base interval X is
 
     sup over alpha >= 0 of min(alpha, F(alpha)),   F(alpha) = mu({x in X : f(x) >= alpha}),
 
-and F is non-increasing, so the sup is the threshold where F crosses the
-diagonal.  It is computed by bisecting on the predicate F(alpha) >= alpha.
+and F is non-increasing by construction, so the sup is the threshold where F
+crosses the diagonal.  It is computed by bisecting on the predicate
+F(alpha) >= alpha, and F is not probed for monotonicity (only the bound
+engine, whose envelope product can rise, probes its F).
 
 The integrand is sampled on an x grid.  When the sampled values are
 monotone, the level-set boundary is refined by bisection and the level set
@@ -15,7 +17,10 @@ one rule for where the integrand is defined, so a boundary cell's ends are
 evaluable; an EvalError inside the bisection propagates.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
-0.1% of the grid.
+0.1% of the grid.  Excluded end points are dropped from the monotone scan and
+level sets run on to the base end, so an undefined interval end keeps the
+exact path unless the crossing falls in its cell, which is not refined; that
+case and an excluded interior point are counted on the grid.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EvalError, NegativeFunctionError
+from .exceptions import BracketError, EvalError, NegativeFunctionError
 from .expr import FunctionExpr, evaluate, evaluate_array
 from .measure import Interval, MeasureSpec, lebesgue, measure_of
 from .rootfind import SolverConfig, solve_sign_change, solve_sup_threshold
@@ -56,14 +61,7 @@ class IntegralResult:
 class _LevelSets:
     """Shared grid state answering level-set measure queries for one integrand."""
 
-    def __init__(
-        self,
-        f: FunctionExpr,
-        base: Interval,
-        spec: MeasureSpec,
-        grid: int,
-        require_nonnegative: bool = False,
-    ):
+    def __init__(self, f: FunctionExpr, base: Interval, spec: MeasureSpec, grid: int):
         if not _MIN_GRID <= grid <= MAX_GRID:
             raise ValueError(f"grid must be between {_MIN_GRID} and {MAX_GRID} points, got {grid}")
         self.f = f
@@ -75,56 +73,56 @@ class _LevelSets:
         bad = np.isnan(self.vals)
         self.n_excluded = int(np.count_nonzero(bad))
         if self.n_excluded >= MAX_EXCLUDED_FRACTION * grid:
-            raise EvalError(
-                f"integrand is not evaluable at {self.n_excluded} of {grid} grid points"
-            )
+            raise EvalError(f"integrand is not evaluable at {self.n_excluded} of {grid} grid points")
+        first, stop = 0, grid  # the grid once excluded end points are dropped
         if self.n_excluded:
-            warnings.warn(
-                f"excluded {self.n_excluded} non-evaluable grid point(s) from level sets",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if require_nonnegative:
-            i_min = int(np.nanargmin(self.vals))
-            v_min = float(self.vals[i_min])
-            if v_min < -NEG_SLACK:
-                raise NegativeFunctionError(float(self.xs[i_min]), v_min)
-        finite_vals = self.vals[~bad]
-        diffs = np.diff(finite_vals)
-        rising = bool(np.any(diffs > 0.0))
-        falling = bool(np.any(diffs < 0.0))
-        self.increasing = not falling  # non-decreasing; constants count
-        self.decreasing = not rising
-        self.exact_boundaries = (self.increasing or self.decreasing) and self.n_excluded == 0
+            warnings.warn(f"excluded {self.n_excluded} non-evaluable grid point(s) from level sets",
+                          RuntimeWarning, stacklevel=3)
+            first, stop = int(np.argmin(bad)), grid - int(np.argmin(bad[::-1]))
+        i_min = int(np.nanargmin(self.vals))
+        v_min = float(self.vals[i_min])
+        if v_min < -NEG_SLACK:
+            raise NegativeFunctionError(float(self.xs[i_min]), v_min)
+        vals, xs = self.vals[first:stop], self.xs[first:stop]
+        diffs = np.diff(vals)  # NaN next to an excluded interior point
+        increasing = not np.any(diffs < 0.0)  # non-decreasing; constants count
+        monotone = increasing or not np.any(diffs > 0.0)
+        self.exact_boundaries = monotone and self.n_excluded == grid - (stop - first)
+        # Non-decreasing view of the scan: a level set is a right tail of it
+        # and runs on to the base end (b when rising, a when falling).
+        self._view = (vals, xs) if increasing else (vals[::-1], xs[::-1])
+        self._end = base.b if increasing else base.a
+        a_open, b_open = first > 0, stop < grid
+        self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
 
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
         if not self.exact_boundaries:
             count = int(np.count_nonzero(self.vals >= alpha))
             return (count / self.grid) * self.base.length
-        # Non-decreasing view of the samples: the level set is a right tail of it.
-        vals, xs = (self.vals, self.xs) if self.increasing else (self.vals[::-1], self.xs[::-1])
+        vals, xs = self._view
         if vals[0] >= alpha:
             return self.base.length
         if vals[-1] < alpha:
             return 0.0
         i = int(np.searchsorted(vals, alpha, side="left"))
         x_star = self._refine(*sorted((float(xs[i - 1]), float(xs[i]))), alpha)
-        return abs(float(xs[-1]) - x_star)  # the level set runs from x_star to xs[-1]
+        return abs(self._end - x_star)
 
     def _refine(self, lo: float, hi: float, alpha: float) -> float:
-        # One grid cell brackets the boundary.  libm and numpy can differ by
-        # an ulp in exp and pow, so both ends may fall on one side of alpha.
         def g(t: float) -> float:
             return evaluate(self.f, t) - alpha
-        g_lo, g_hi = g(lo), g(hi)
-        if g_lo == 0.0:
-            return lo
-        if g_hi == 0.0:
-            return hi
-        if (g_lo > 0.0) == (g_hi > 0.0):
-            return lo if abs(g_lo) <= abs(g_hi) else hi
-        return solve_sign_change(g, lo, hi, _REFINE_CFG)
+        try:
+            return solve_sign_change(g, lo, hi, _REFINE_CFG)
+        except BracketError:
+            # One grid cell brackets the boundary, but libm and numpy can differ
+            # by an ulp in exp and pow, so both scalar ends may fall on one side.
+            return lo if abs(g(lo)) <= abs(g(hi)) else hi
+
+    def unresolved(self, alpha: float) -> bool:
+        """Whether the level set at alpha ends in an excluded end cell, which is not refined."""
+        (vals, _), (low_open, high_open) = self._view, self._open
+        return (low_open and vals[0] >= alpha) or (high_open and vals[-1] < alpha)
 
     def measure(self, alpha: float) -> float:
         return evaluate(self.spec.phi, self.level_length(alpha))
@@ -140,12 +138,16 @@ def sugeno_integral(
     """Sugeno integral of a non-negative ``f`` over ``base`` by fixed point."""
     spec = lebesgue() if spec is None else spec
     cfg = SolverConfig() if cfg is None else cfg
-    levels = _LevelSets(f, base, spec, grid, require_nonnegative=True)
+    levels = _LevelSets(f, base, spec, grid)
     mu_total = measure_of(spec, base)
-    grid_points = None if levels.exact_boundaries else grid
     if mu_total <= 0.0:
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
+        grid_points = None if levels.exact_boundaries else grid
         return IntegralResult(0.0, "fixed_point", abs(mu_total), (0.0, 0.0), grid_points)
     res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
+    if levels.exact_boundaries and any(map(levels.unresolved, res.bracket)):
+        levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
+        res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
+    grid_points = None if levels.exact_boundaries else grid
     return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
 

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sugeno_bounds.bounds import hadamard_bound
+from sugeno_bounds.convexity import SMParams
 from sugeno_bounds.exceptions import BracketError
+from sugeno_bounds.expr import parse
+from sugeno_bounds.measure import Interval
 from sugeno_bounds.rootfind import SolverConfig, solve_sign_change, solve_sup_threshold
 
 
@@ -72,9 +76,14 @@ def test_lower_end_violation_raises():
 
 
 def test_non_monotone_input_warns():
-    bumpy = lambda a: 0.2 + 0.6 * a  # increasing: not a distribution
-    with pytest.warns(RuntimeWarning):
-        solve_sup_threshold(bumpy, 0.0, 1.0)
+    # The solver trusts G; the bound engine, whose envelope product rises in
+    # the literal decreasing case with m < 1, probes it after the solve.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_sup_threshold(lambda a: 0.2 + 0.6 * a, 0.0, 1.0)
+    f = parse("2-x")
+    with pytest.warns(RuntimeWarning, match="non-increasing"):
+        hadamard_bound(f, f, Interval(1.0, 2.0), SMParams(1.0, 0.5))
 
 
 def test_residual_certificate():
@@ -132,8 +141,5 @@ def test_sign_change_no_bracket_raises():
        slope=st.floats(min_value=0.1, max_value=5.0))
 def test_sup_threshold_linear_family(c, slope):
     # G(a) = c - slope*a crosses the diagonal at c/(1+slope)
-    G = lambda a: c - slope * a
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # G goes negative near 1; spot check may warn
-        res = solve_sup_threshold(G, 0.0, 1.0)
+    res = solve_sup_threshold(lambda a: c - slope * a, 0.0, 1.0)
     assert res.value == pytest.approx(c / (1.0 + slope), abs=1e-10)

@@ -12,6 +12,7 @@ import pytest
 
 from reference import (PreconditionError, check_proposition_properties, distribution_profile,
                        sugeno_integral_oracle)
+from sugeno_bounds import sugeno
 from sugeno_bounds.cli import run
 from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
 from sugeno_bounds.expr import constant, parse
@@ -174,6 +175,45 @@ def test_few_bad_points_warn_but_proceed():
         res = sugeno_integral(parse("1/x"), Interval(0.0, 1.0), grid=10001)
     # F(a) = min(1/a, 1) - 0 clipped to [0,1]; fixed point of a = 1/a is 1
     assert res.value == pytest.approx(1.0, abs=1e-3)
+
+
+# fixed point of a = 1 + 1/ln(a): the level set of exp(-1/x) on [0,1] is [-1/ln(a), 1]
+EXP_RECIPROCAL = _root(lambda a: a - 1 - 1 / mpmath.log(a), 0.26)
+
+
+@pytest.mark.parametrize("src,n_excluded", [
+    ("exp(0-1/x)", 1),                # rising, undefined at a
+    ("exp(0-1/(1-x))", 1),            # falling, undefined at b
+    ("exp(0-1/x)+0*ln(1-x)", 2),      # rising, undefined at both ends
+])
+def test_excluded_interval_ends_keep_the_exact_path(src, n_excluded):
+    with pytest.warns(RuntimeWarning, match=f"excluded {n_excluded} "):
+        res = sugeno_integral(parse(src), Interval(0.0, 1.0))
+    assert res.grid_points is None
+    assert res.value == pytest.approx(EXP_RECIPROCAL, abs=1e-11)
+
+
+@pytest.mark.parametrize("src,exact", [
+    ("x+0*ln(abs(x-0.5))", 0.5),                 # undefined at the interior grid point 1/2
+    ("0.999995+x+0*ln(x)", 0.9999975),           # the crossing x = 2.5e-6 is in the cell at 0
+    ("0.000000000001/(1-x)", 1e-6),              # the crossing x = 1 - 1e-6 is in the cell at 1
+])
+def test_unresolved_exclusions_count_on_the_grid(src, exact):
+    with pytest.warns(RuntimeWarning, match="excluded 1 "):
+        res = sugeno_integral(parse(src), Interval(0.0, 1.0))
+    assert res.grid_points == 100001
+    assert res.value == pytest.approx(exact, abs=2e-5)
+
+
+def test_monotone_integral_scalar_evaluations(monkeypatch):
+    # each boundary cell's ends are evaluated once, by the sign-change solve,
+    # and the threshold solve does not probe F
+    calls = []
+    evaluate = sugeno.evaluate
+    monkeypatch.setattr(sugeno, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
+    res = sugeno_integral(parse("x^2"), Interval(1.0, 4.0))
+    assert res.value == pytest.approx(SQUARE_14, abs=1e-11)
+    assert len(calls) <= 1250
 
 
 def test_tight_tolerance_improves_residual():
