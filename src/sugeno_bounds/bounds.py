@@ -68,7 +68,7 @@ class CaseTag(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetaResult:
     beta: float
     residual: float
@@ -189,7 +189,7 @@ def hadamard_bound(
     return endpoint_bound(endpoint_data(f, g, base), base, p, cfg, literal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     integral: IntegralResult
     hadamard: BetaResult

@@ -41,7 +41,7 @@ from .bounds import (
     kirmaci_bound,
     verify_hadamard,
 )
-from .convexity import (DEFAULT_LATTICE, ConvexityVerdict, EndpointData, SMParams,
+from .convexity import (DEFAULT_LATTICE, MAX_LATTICE, ConvexityVerdict, EndpointData, SMParams,
                         check_sm_convex, envelope)
 from .exceptions import (
     BracketError,
@@ -55,7 +55,7 @@ from .exceptions import (
 from .expr import parse, product
 from .measure import Interval, MeasureSpec, distortion, lebesgue
 from .rootfind import SolverConfig
-from .sugeno import DEFAULT_GRID, IntegralResult, sugeno_integral
+from .sugeno import DEFAULT_GRID, MAX_GRID, IntegralResult, sugeno_integral
 
 __all__ = ["ReproduceRow", "reproduce", "emit_report", "build_parser", "run", "main"]
 
@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     tol = options()
     tol.add_argument("--tol", type=float, default=SolverConfig().tol)
     grid = options()
-    grid.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    grid.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                      help="points in the integration grid "
+                           f"(default %(default)s, at most {MAX_GRID:,})")
     pair = options(func)
     pair.add_argument("--g", required=True, dest="g_text", metavar="EXPR")
     pair.add_argument("--literal", action=argparse.BooleanOptionalAction, default=True,
@@ -331,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-violation", action="store_true")
     p = sub.add_parser("convexity", parents=[func, sm, fmt],
                        help="grid check of (s,m)-convexity in the second sense")
-    p.add_argument("--grid", type=int, default=DEFAULT_LATTICE)
+    p.add_argument("--grid", type=int, default=DEFAULT_LATTICE,
+                   help=f"lattice points per axis (default %(default)s, at most {MAX_LATTICE})")
     p = sub.add_parser("reproduce", parents=[fmt], help="recompute the bundled worked cases")
     p.add_argument("--case", choices=_CASE_CHOICES, default="all")
     return parser

@@ -9,9 +9,13 @@ crosses the diagonal.  It is computed by bisecting on the predicate
 F(alpha) >= alpha, and F is not probed for monotonicity (only the bound
 engine, whose envelope product can rise, probes its F).
 
-The integrand is sampled on an x grid.  When the sampled values are
-monotone, the level-set boundary is refined by bisection and the level set
-is an exact interval; otherwise the measure falls back to grid counting.
+The integrand is sampled on an x grid, evaluated in fixed-size chunks.  No
+x array is kept: a grid point's coordinate is recomputed the way
+``np.linspace`` computes it, so an integral holds 8 B per grid point plus
+chunk-sized buffers (0.8 MB at the default grid, 80 MB at the cap).  When
+the sampled values are monotone, the level-set boundary is refined by
+bisection and the level set is an exact interval; otherwise the measure
+falls back to grid counting.
 The grid and the bisection use the two forms of one expression walk, with
 one rule for where the integrand is defined, so a boundary cell's ends are
 evaluable; an EvalError inside the bisection propagates.
@@ -47,9 +51,10 @@ MAX_EXCLUDED_FRACTION = 0.001
 NEG_SLACK = 1e-12  # how far below zero a non-negative function's values may dip
 _MIN_GRID = 101
 _REFINE_CFG = SolverConfig(tol=1e-12)
+_CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralResult:
     value: float
     method: str  # always "fixed_point"
@@ -68,8 +73,14 @@ class _LevelSets:
         self.base = base
         self.spec = spec
         self.grid = grid
-        self.xs = np.linspace(base.a, base.b, grid)
-        self.vals = evaluate_array(f, self.xs)
+        self._step = base.length / (grid - 1)
+        self.vals = np.empty(grid)
+        for i0 in range(0, grid, _CHUNK_POINTS):  # only vals is grid-sized
+            i1 = min(i0 + _CHUNK_POINTS, grid)
+            xs = self._scaled(np.arange(i0, i1, dtype=float))
+            if i1 == grid:
+                xs[-1] = base.b
+            self.vals[i0:i1] = evaluate_array(f, xs)
         bad = np.isnan(self.vals)
         self.n_excluded = int(np.count_nonzero(bad))
         if self.n_excluded >= MAX_EXCLUDED_FRACTION * grid:
@@ -79,34 +90,47 @@ class _LevelSets:
             warnings.warn(f"excluded {self.n_excluded} non-evaluable grid point(s) from level sets",
                           RuntimeWarning, stacklevel=3)
             first, stop = int(np.argmin(bad)), grid - int(np.argmin(bad[::-1]))
-        i_min = int(np.nanargmin(self.vals))
-        v_min = float(self.vals[i_min])
+        v_min = float(np.nanmin(self.vals))
         if v_min < -NEG_SLACK:
-            raise NegativeFunctionError(float(self.xs[i_min]), v_min)
-        vals, xs = self.vals[first:stop], self.xs[first:stop]
-        diffs = np.diff(vals)  # NaN next to an excluded interior point
-        increasing = not np.any(diffs < 0.0)  # non-decreasing; constants count
-        monotone = increasing or not np.any(diffs > 0.0)
+            raise NegativeFunctionError(self.x(int(np.nanargmin(self.vals))), v_min)
+        vals = self.vals[first:stop]
+        # Neighbour comparisons on views make no float copy; next to an
+        # excluded interior point (NaN) they are False.
+        increasing = not np.any(vals[1:] < vals[:-1])  # non-decreasing; constants count
+        monotone = increasing or not np.any(vals[1:] > vals[:-1])
         self.exact_boundaries = monotone and self.n_excluded == grid - (stop - first)
-        # Non-decreasing view of the scan: a level set is a right tail of it
-        # and runs on to the base end (b when rising, a when falling).
-        self._view = (vals, xs) if increasing else (vals[::-1], xs[::-1])
+        # Non-decreasing view of the scan, with the grid index of each value:
+        # a level set is a right tail of it and runs on to the base end (b
+        # when rising, a when falling).
+        idx = range(first, stop)
+        self._view = (vals, idx) if increasing else (vals[::-1], idx[::-1])
         self._end = base.b if increasing else base.a
         a_open, b_open = first > 0, stop < grid
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
+
+    def x(self, i: int) -> float:
+        """Coordinate of grid point ``i``: ``np.linspace(a, b, grid)[i]``."""
+        return self.base.b if i == self.grid - 1 else self._scaled(i)
+
+    def _scaled(self, i):
+        # linspace's arithmetic for an index or an array of them; when the
+        # step underflows to 0, numpy scales by the length instead
+        if self._step == 0.0:
+            return i / (self.grid - 1) * self.base.length + self.base.a
+        return i * self._step + self.base.a
 
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
         if not self.exact_boundaries:
             count = int(np.count_nonzero(self.vals >= alpha))
             return (count / self.grid) * self.base.length
-        vals, xs = self._view
+        vals, idx = self._view
         if vals[0] >= alpha:
             return self.base.length
         if vals[-1] < alpha:
             return 0.0
         i = int(np.searchsorted(vals, alpha, side="left"))
-        x_star = self._refine(*sorted((float(xs[i - 1]), float(xs[i]))), alpha)
+        x_star = self._refine(*sorted((self.x(idx[i - 1]), self.x(idx[i]))), alpha)
         return abs(self._end - x_star)
 
     def _refine(self, lo: float, hi: float, alpha: float) -> float:

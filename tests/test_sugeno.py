@@ -5,20 +5,25 @@ mpmath root, never copied from the engine under test.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference import (PreconditionError, check_proposition_properties, distribution_profile,
                        sugeno_integral_oracle)
 from sugeno_bounds import sugeno
 from sugeno_bounds.cli import run
 from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
-from sugeno_bounds.expr import constant, parse
+from sugeno_bounds.expr import BinOp, Call, FunctionExpr, Num, Var, constant, evaluate_array, parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
-from sugeno_bounds.sugeno import MAX_GRID, sugeno_integral
+from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_GRID, sugeno_integral
+from test_expr import _trees
 
 mpmath.mp.dps = 50
 
@@ -98,6 +103,60 @@ def test_grid_cap_checked_before_allocation(no_grid_alloc):
         distribution_profile(f, box, alphas=(0.5,), grid=MAX_GRID + 1)
     with pytest.raises(ValueError):
         check_proposition_properties(f, f, 0.5, box, grid=MAX_GRID + 1)
+
+
+def _undefined_at(tree, c):
+    """``tree + 0*ln(abs(x - c))``: the same values, undefined exactly at x = c."""
+    gap = Call("abs", (BinOp("-", Var(), Num(c)),))
+    hole = Call("ln", (gap,))
+    return BinOp("+", tree, BinOp("*", Num(0.0), hole))
+
+
+_CHUNK = sugeno._CHUNK_POINTS
+
+
+@pytest.mark.filterwarnings("ignore:excluded 1 non-evaluable")
+@settings(max_examples=40, deadline=None)
+@given(tree=_trees(3),
+       a=st.floats(min_value=0.0, max_value=1e3),
+       width=st.floats(min_value=1e-6, max_value=1e3),
+       grid=st.sampled_from([101, 10001, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                             DEFAULT_GRID]),
+       hole=st.none() | st.integers(min_value=0, max_value=DEFAULT_GRID - 1),
+       picks=st.lists(st.integers(min_value=0, max_value=DEFAULT_GRID - 1), max_size=4))
+@example(tree=Var(), a=0.0, width=5e-324, grid=101, hole=None, picks=[50])  # the step underflows
+@example(tree=Var(), a=0.0, width=5e-324, grid=DEFAULT_GRID, hole=None, picks=[])
+@example(tree=Var(), a=0.0, width=0.1, grid=DEFAULT_GRID, hole=None,
+         picks=[])  # b differs from a + (grid - 1) * step
+@example(tree=parse("x^2+1").root, a=1.0, width=3.0, grid=DEFAULT_GRID, hole=_CHUNK,
+         picks=[])  # an undefined interior point on a chunk edge
+def test_chunked_grid_matches_linspace(tree, a, width, grid, hole, picks):
+    # the chunked build gives every value bit for bit, NaN at the same places,
+    # and x(i) is linspace's coordinate, at chunk edges too
+    base = Interval(a, a + width)
+    xs = np.linspace(base.a, base.b, grid)
+    if hole is not None and grid > 1000:  # one excluded point of 101 is over the 0.1% limit
+        tree = _undefined_at(tree, float(xs[hole % grid]))
+    f = FunctionExpr(tree, "<built>")
+    levels = sugeno._LevelSets(f, base, lebesgue(), grid)
+    assert levels.vals.tobytes() == evaluate_array(f, xs).tobytes()
+    edges = [i for k in range(_CHUNK, grid, _CHUNK) for i in (k - 1, k)]
+    for i in [0, grid - 1, *edges, *(i % grid for i in picks)]:
+        assert levels.x(i) == xs[i], i
+
+
+@pytest.mark.parametrize("grid,limit_mb", [(DEFAULT_GRID, 1.6), (10**6, 12.0)])
+def test_integral_memory_is_bounded(grid, limit_mb):
+    # a verify-shaped product: the grid's values take 8 B per point and every
+    # other buffer is chunk-sized
+    f, base = parse("(x+1)*(2+exp(0-x))"), Interval(0.0, 4.0)
+    tracemalloc.start()
+    try:
+        sugeno_integral(f, base, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20, peak
 
 
 def test_intermediate_overflow_is_undefined(capsys):
