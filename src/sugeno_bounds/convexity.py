@@ -6,8 +6,9 @@ A function f belongs to the class K2(s, m) on an interval when
 
 for all x, y in the interval and lam in [0, 1], with s, m in (0, 1].
 ``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice,
-scanned in slabs of x rows so that memory stays at a few MB whatever the
-lattice size (time still grows as grid^3).
+scanned in slabs of a fixed number of points (whole x rows, or blocks of
+y columns of one x row when a row does not fit), so that memory stays
+near 1 MB whatever the lattice size (time still grows as grid^3).
 ``envelope`` builds, as an expression, the endpoint power envelope that
 dominates such a function on [a, b]; its value at x is
 
@@ -38,7 +39,7 @@ __all__ = [
 DEFAULT_LATTICE = 41
 MAX_LATTICE = 201
 _CONVEXITY_SLACK = 1e-12
-_SLAB_POINTS = 1 << 16  # lattice points per slab of x rows
+_SLAB_POINTS = 1 << 14  # lattice points per slab
 
 
 @dataclass(frozen=True)
@@ -103,37 +104,47 @@ def check_sm_convex(
     (x, y, lam) order on a tie); a gap beyond the float range (the
     right-hand side overflows to -inf) is reported as sys.float_info.max.
 
-    The lattice is scanned in slabs of whole x rows of at most
-    ``_SLAB_POINTS`` points, so memory stays at a few MB whatever the
-    lattice size; time still grows as grid^3.
+    The lattice is scanned i-major in slabs of at most ``_SLAB_POINTS``
+    points: whole x rows when one fits, else blocks of y columns of a single
+    x row.  Memory stays near 1 MB whatever the lattice size; time still
+    grows as grid^3.  A combination is skipped exactly where its gap is NaN:
+    f is undefined at the combination point, at x or at y (the right-hand
+    side terms are at most |f(x)| and |f(y)|, so it can overflow to +-inf
+    but never to NaN).
     """
     if not 11 <= grid <= MAX_LATTICE:
         raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
     xs = np.linspace(base.a, base.b, grid)
     lams = np.linspace(0.0, 1.0, grid)
     f_ends = evaluate_array(f, xs)
-    ends_ok = np.isfinite(f_ends)
     with np.errstate(all="ignore"):
         # the (y, lam) terms and lam**s, shared by every slab
         lam_s = lams**p.s
         y_terms = (p.m * (1.0 - lams)) * xs[:, None]
         fy_terms = (p.m * ((1.0 - lams) ** p.s)) * f_ends[:, None]
-    rows = max(1, _SLAB_POINTS // grid**2)
+    cols = min(grid, max(1, _SLAB_POINTS // grid))  # y columns per slab
+    rows = max(1, _SLAB_POINTS // (grid * cols))  # x rows per slab; 1 when a row is split
     skipped, worst, worst_at = 0, -math.inf, None
     for i0 in range(0, grid, rows):
-        slab = slice(i0, i0 + rows)
-        lhs = evaluate_array(f, lams * xs[slab, None, None] + y_terms)
-        with np.errstate(all="ignore"):
-            gaps = lam_s * f_ends[slab, None, None] + fy_terms
-            np.subtract(lhs, gaps, out=gaps)
-        invalid = ~(np.isfinite(lhs) & ends_ok[slab, None, None] & ends_ok[:, None])
-        skipped += int(np.count_nonzero(invalid))
-        gaps[invalid] = -np.inf
-        flat = int(np.argmax(gaps))
-        if gaps.flat[flat] > worst:  # strict: on a tie the earlier slab keeps the witness
-            worst = float(gaps.flat[flat])
-            i, j, k = np.unravel_index(flat, gaps.shape)
-            worst_at = (i0 + i, j, k)
+        x_slab = xs[i0:i0 + rows, None, None]
+        fx_slab = f_ends[i0:i0 + rows, None, None]
+        for j0 in range(0, grid, cols):
+            points = lams * x_slab + y_terms[j0:j0 + cols]
+            lhs = evaluate_array(f, points)
+            with np.errstate(all="ignore"):
+                # the right-hand side, then the gaps, reuse the points' buffer
+                gaps = np.add(lam_s * fx_slab, fy_terms[j0:j0 + cols], out=points)
+                np.subtract(lhs, gaps, out=gaps)
+            undefined = np.isnan(gaps)
+            n_undefined = int(np.count_nonzero(undefined))
+            if n_undefined:
+                skipped += n_undefined
+                gaps[undefined] = -np.inf
+            flat = int(np.argmax(gaps))
+            if gaps.flat[flat] > worst:  # strict: on a tie the earlier slab keeps the witness
+                worst = float(gaps.flat[flat])
+                i, j, k = np.unravel_index(flat, gaps.shape)
+                worst_at = (i0 + i, j0 + j, k)
     if skipped == grid**3:
         raise EvalError(f"f is not evaluable at any of the {skipped} lattice combinations")
     if worst > _CONVEXITY_SLACK:

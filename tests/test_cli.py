@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -357,3 +358,19 @@ def test_console_script_help():
     assert r.stdout.startswith("usage: sugeno-bounds")
     assert "integrate" in r.stdout
     assert "reproduce" in r.stdout
+
+
+def test_module_entry_point():
+    # python -m sugeno_bounds.cli runs the same main() as the console script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "sugeno_bounds.cli", "convexity", "--f", "x^2",
+            "--interval", "0,1", "--s", "1", "--m", "1"]
+    r = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0].split() == ["holds_on_grid", "true"]
+    assert "skipped         0" in r.stdout
+    r = subprocess.run([*argv, "--grid", "10"], capture_output=True, text=True, env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "grid must be between 11 and" in r.stderr

@@ -13,6 +13,7 @@ from reference import check_envelope_dominates, check_sm_convex_whole, power_sum
 from sugeno_bounds import convexity
 from sugeno_bounds.convexity import (
     MAX_LATTICE,
+    ConvexityVerdict,
     EndpointData,
     SMParams,
     check_sm_convex,
@@ -156,10 +157,14 @@ def _verdict_or_error(check, f, base, p, grid):
         return f"EvalError: {exc}"
 
 
-# Grids with one slab (grid^3 within the slab budget), several slabs, and one
-# x row per slab (grid^2 above half the budget); a budget of 1000 points
-# puts one x row in each slab from grid 32 on.  The sqrt(x - c) term is
-# undefined left of c, so with m < 1 some combinations are skipped.
+# Slab layouts: at the default budget of 1 << 14 points, grid 11 is one slab,
+# 40 and 41 are several slabs of whole x rows, 101 is one x row per slab and
+# 182 splits each x row into blocks of y columns.  A budget of 1000 points
+# splits the x rows from grid 32 on; a budget of 64 splits them at grid 11
+# and makes each slab a single (x, y) lambda line from grid 64 on.  The
+# sqrt(x - c) term is undefined left of c, so with m < 1 some combinations
+# are skipped; ln(abs(x - 0.5)) is undefined at the lattice point 0.5 itself,
+# so f(x) and f(y) cause skips too.
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees(4),
        a=st.floats(min_value=0.0, max_value=3.0),
@@ -168,13 +173,17 @@ def _verdict_or_error(check, f, base, p, grid):
        s=st.floats(min_value=0.05, max_value=1.0),
        m=st.floats(min_value=0.05, max_value=0.95),
        grid=st.sampled_from([11, 40, 41, 101, 182]),
-       slab_points=st.sampled_from([convexity._SLAB_POINTS, 1000]))
+       slab_points=st.sampled_from([convexity._SLAB_POINTS, 1000, 64]))
 @example(tree=parse("1/2-abs(x-1/2)").root, a=0.0, width=1.0, cut=None, s=1.0, m=1.0,
          grid=41, slab_points=convexity._SLAB_POINTS)  # tied witnesses at x = 0 and x = 1
 @example(tree=parse("x").root, a=0.0, width=1.0, cut=5.0, s=1.0, m=0.5, grid=11,
          slab_points=1000)  # every combination skipped
 @example(tree=parse("1.7e308*(1-2*x)").root, a=0.0, width=1.0, cut=None, s=0.5, m=1.0,
          grid=41, slab_points=convexity._SLAB_POINTS)  # gap beyond the float range
+@example(tree=parse("ln(abs(x-0.5))").root, a=0.0, width=1.0, cut=None, s=1.0, m=1.0,
+         grid=11, slab_points=64)  # f(x) and f(y) undefined at x = 0.5
+@example(tree=parse("ln(abs(x-0.5))").root, a=0.0, width=1.0, cut=None, s=0.5, m=0.7,
+         grid=41, slab_points=64)
 def test_slabs_match_whole_lattice(tree, a, width, cut, s, m, grid, slab_points):
     # the slab scan keeps every gap bit-identical, the skipped count and the
     # first-maximum witness of the whole-lattice argmax
@@ -187,6 +196,32 @@ def test_slabs_match_whole_lattice(tree, a, width, cut, s, m, grid, slab_points)
     assert got == want
 
 
+@pytest.mark.parametrize("slab_points", [convexity._SLAB_POINTS, 64])
+def test_undefined_lattice_point_verdict(slab_points):
+    # x = 0.5 is a lattice point where ln(abs(x - 0.5)) is undefined
+    f, base, p = parse("ln(abs(x-0.5))"), Interval(0.0, 1.0), SMParams(1.0, 1.0)
+    with mock.patch.object(convexity, "_SLAB_POINTS", slab_points):
+        verdict = check_sm_convex(f, base, p, grid=11)
+    assert verdict == ConvexityVerdict(False, (0.0, 0.4, 0.4, 0.3117362800537964), 11, 244)
+
+
+def test_slab_size_is_bounded():
+    # after the xs call, each evaluate_array call gets one slab, and the slabs
+    # cover the lattice once
+    sizes = []
+
+    def spy(f, xs):
+        sizes.append(np.size(xs))
+        return evaluate_array(f, xs)
+
+    with mock.patch.object(convexity, "evaluate_array", spy):
+        check_sm_convex(parse("x^(1/2)"), Interval(1.0, 4.0), SMParams(0.5, 0.7),
+                        grid=MAX_LATTICE)
+    assert sizes[0] == MAX_LATTICE
+    assert max(sizes[1:]) <= max(convexity._SLAB_POINTS, MAX_LATTICE)
+    assert sum(sizes[1:]) == MAX_LATTICE**3
+
+
 def test_lattice_memory_is_bounded():
     f, base, p = parse("x^(1/2)"), Interval(1.0, 4.0), SMParams(0.5, 0.7)
     tracemalloc.start()
@@ -195,7 +230,7 @@ def test_lattice_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    assert peak < 4 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
