@@ -21,7 +21,8 @@ nested deeper than ``expr.MAX_DEPTH`` levels is a parse error); 3 unsupported
 endpoint case, negative function value (``bound`` checks the endpoint
 values of f and g), domain violation (a bound threshold that overflows),
 evaluation failure, or a solver bracket that is not finite or does not
-enclose a solution.
+enclose a solution.  A reader that closes stdout early (``| head -1``) gets
+exit code 0 and no traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -381,7 +383,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+    except BrokenPipeError:  # the reader chose to stop; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ for all x, y in the interval and lam in [0, 1], with s, m in (0, 1].
 ``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice,
 scanned in slabs of a fixed number of points (whole x rows, or blocks of
 y columns of one x row when a row does not fit), so that memory stays
-near 1 MB whatever the lattice size (time still grows as grid^3).
+under 2 MB at the largest lattice (time still grows as grid^3).
 ``envelope`` builds, as an expression, the endpoint power envelope that
 dominates such a function on [a, b]; its value at x is
 
@@ -106,45 +106,49 @@ def check_sm_convex(
 
     The lattice is scanned i-major in slabs of at most ``_SLAB_POINTS``
     points: whole x rows when one fits, else blocks of y columns of a single
-    x row.  Memory stays near 1 MB whatever the lattice size; time still
-    grows as grid^3.  A combination is skipped exactly where its gap is NaN:
-    f is undefined at the combination point, at x or at y (the right-hand
-    side terms are at most |f(x)| and |f(y)|, so it can overflow to +-inf
-    but never to NaN).
+    x row, all in one buffer.  Memory stays under 2 MB at ``MAX_LATTICE``;
+    time still grows as grid^3.  A combination is skipped exactly where its
+    gap is NaN: f is undefined at the combination point, at x or at y (the
+    right-hand side terms are at most |f(x)| and |f(y)|, so it can overflow
+    to +-inf but never to NaN); ``np.argmax`` stops at a slab's first NaN.
     """
     if not 11 <= grid <= MAX_LATTICE:
         raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
     xs = np.linspace(base.a, base.b, grid)
     lams = np.linspace(0.0, 1.0, grid)
     f_ends = evaluate_array(f, xs)
-    with np.errstate(all="ignore"):
-        # the (y, lam) terms and lam**s, shared by every slab
-        lam_s = lams**p.s
-        y_terms = (p.m * (1.0 - lams)) * xs[:, None]
-        fy_terms = (p.m * ((1.0 - lams) ** p.s)) * f_ends[:, None]
     cols = min(grid, max(1, _SLAB_POINTS // grid))  # y columns per slab
     rows = max(1, _SLAB_POINTS // (grid * cols))  # x rows per slab; 1 when a row is split
+    buf = np.empty(min(rows, grid) * cols * grid)  # each slab's points, then its gaps
     skipped, worst, worst_at = 0, -math.inf, None
-    for i0 in range(0, grid, rows):
-        x_slab = xs[i0:i0 + rows, None, None]
-        fx_slab = f_ends[i0:i0 + rows, None, None]
-        for j0 in range(0, grid, cols):
-            points = lams * x_slab + y_terms[j0:j0 + cols]
-            lhs = evaluate_array(f, points)
-            with np.errstate(all="ignore"):
-                # the right-hand side, then the gaps, reuse the points' buffer
-                gaps = np.add(lam_s * fx_slab, fy_terms[j0:j0 + cols], out=points)
+    with np.errstate(all="ignore"):
+        # the (x, lam) and (y, lam) terms, grid^2 each and shared by every slab
+        lam_x = xs[:, None] * lams
+        lam_fx = f_ends[:, None] * lams**p.s
+        y_terms = (p.m * (1.0 - lams)) * xs[:, None]
+        fy_terms = (p.m * ((1.0 - lams) ** p.s)) * f_ends[:, None]
+        for i0 in range(0, grid, rows):
+            x_slab = lam_x[i0:i0 + rows, None]
+            fx_slab = lam_fx[i0:i0 + rows, None]
+            for j0 in range(0, grid, cols):
+                y_slab = y_terms[j0:j0 + cols]
+                shape = (len(x_slab), len(y_slab), grid)
+                points = buf[:math.prod(shape)].reshape(shape)
+                np.copyto(points, x_slab)  # a copy, then an in-place add, beats broadcasting x
+                lhs = evaluate_array(f, np.add(points, y_slab, out=points))
+                np.copyto(points, fx_slab)
+                gaps = np.add(points, fy_terms[j0:j0 + cols], out=points)
                 np.subtract(lhs, gaps, out=gaps)
-            undefined = np.isnan(gaps)
-            n_undefined = int(np.count_nonzero(undefined))
-            if n_undefined:
-                skipped += n_undefined
-                gaps[undefined] = -np.inf
-            flat = int(np.argmax(gaps))
-            if gaps.flat[flat] > worst:  # strict: on a tie the earlier slab keeps the witness
-                worst = float(gaps.flat[flat])
-                i, j, k = np.unravel_index(flat, gaps.shape)
-                worst_at = (i0 + i, j0 + j, k)
+                flat = int(np.argmax(gaps))  # the first NaN, if the slab holds a skip
+                if math.isnan(gaps.flat[flat]):
+                    undefined = np.isnan(gaps)
+                    skipped += int(np.count_nonzero(undefined))
+                    gaps[undefined] = -np.inf
+                    flat = int(np.argmax(gaps))
+                if gaps.flat[flat] > worst:  # strict: on a tie the earlier slab keeps the witness
+                    worst = float(gaps.flat[flat])
+                    i, j, k = np.unravel_index(flat, shape)
+                    worst_at = (i0 + i, j0 + j, k)
     if skipped == grid**3:
         raise EvalError(f"f is not evaluable at any of the {skipped} lattice combinations")
     if worst > _CONVEXITY_SLACK:

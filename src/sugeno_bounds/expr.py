@@ -317,8 +317,10 @@ def _nan_where_operand_nonfinite(ufunc):
     def entry(*args):
         out = ufunc(*args)
         for a in args:
-            finite = np.isfinite(a)
-            if not finite.all():
+            if isinstance(a, float):  # a literal or constant operand: no array pass
+                if not math.isfinite(a):
+                    out = np.where(False, out, np.nan)
+            elif not (finite := np.isfinite(a)).all():
                 out = np.where(finite, out, np.nan)
         return out
     return entry

@@ -374,3 +374,21 @@ def test_module_entry_point():
     assert r.returncode == 2
     assert r.stdout == ""
     assert "grid must be between 11 and" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["convexity", "--f", "2*x", "--interval", "0,1", "--s", "1", "--m", "1"],
+    ["reproduce", "--format", "csv"],
+])
+def test_closed_stdout_exits_zero_without_traceback(argv):
+    # the reader closes the pipe before the CLI writes, as `| head -1` can
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "sugeno_bounds.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

@@ -164,7 +164,9 @@ def _verdict_or_error(check, f, base, p, grid):
 # and makes each slab a single (x, y) lambda line from grid 64 on.  The
 # sqrt(x - c) term is undefined left of c, so with m < 1 some combinations
 # are skipped; ln(abs(x - 0.5)) is undefined at the lattice point 0.5 itself,
-# so f(x) and f(y) cause skips too.
+# so f(x) and f(y) cause skips too.  Adding 0*ln(abs(x - 0.5)) to the
+# overflowing line puts skipped (NaN) gaps and a gap of +inf in one slab, so
+# the argmax that finds a slab's first NaN must not stop at the infinity.
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees(4),
        a=st.floats(min_value=0.0, max_value=3.0),
@@ -184,6 +186,10 @@ def _verdict_or_error(check, f, base, p, grid):
          grid=11, slab_points=64)  # f(x) and f(y) undefined at x = 0.5
 @example(tree=parse("ln(abs(x-0.5))").root, a=0.0, width=1.0, cut=None, s=0.5, m=0.7,
          grid=41, slab_points=64)
+@example(tree=parse("1.7e308*(1-2*x)+0*ln(abs(x-0.5))").root, a=0.0, width=1.0, cut=None,
+         s=0.5, m=1.0, grid=11, slab_points=convexity._SLAB_POINTS)  # skips next to +inf
+@example(tree=parse("1.7e308*(1-2*x)+0*ln(abs(x-0.5))").root, a=0.0, width=1.0, cut=None,
+         s=0.5, m=1.0, grid=11, slab_points=64)
 def test_slabs_match_whole_lattice(tree, a, width, cut, s, m, grid, slab_points):
     # the slab scan keeps every gap bit-identical, the skipped count and the
     # first-maximum witness of the whole-lattice argmax

@@ -341,6 +341,8 @@ def test_scalar_and_array_agree_on_wide_trees(tree, x):
     ("1e400", 0.5),              # a literal beyond the float range
     ("1/1e400", 0.5),
     ("exp(0-1e400)", 0.5),
+    ("x^1e400", 0.5),            # a literal exponent beyond the float range
+    ("1e400^0", 0.5),            # inf^0 would be 1
 ])
 def test_non_finite_anywhere_is_undefined(source, x):
     f = parse(source)
