@@ -24,6 +24,11 @@ One tree walk evaluates an expression over one of two operator tables:
 array (:func:`evaluate_array` marks the point NaN).  Both apply one rule:
 ``f`` is undefined where any node's value, literals included, is not
 finite, so ``1e400`` is undefined and so is ``1/exp(1000*x)`` at ``x = 1``.
+Only ``/``, ``exp`` and a power can turn a non-finite operand finite
+(``1/inf``, ``exp(-inf)``, ``inf^0``), so only they check operands; every
+other node passes a non-finite value on, and the root checks it.  The array
+form of a power with an array base and a positive finite float exponent
+checks neither operand, since a non-finite base gives a non-finite power.
 """
 
 from __future__ import annotations
@@ -262,10 +267,6 @@ def _walk(node: Node, x, ops: dict):
     return ops[node.name](first, _walk(node.args[1], x, ops))
 
 
-# Only / ^ pow exp can turn an infinity finite again, so in both tables they
-# check their operands; any other non-finite value reaches the root.
-
-
 def _divide(a: float, b: float) -> float:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise EvalError("non-finite operand of /")
@@ -313,7 +314,7 @@ _SCALAR = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide
 
 
 def _nan_where_operand_nonfinite(ufunc):
-    """Array table entry for / ^ pow exp: ``ufunc``, NaN where an operand is non-finite."""
+    """Array table entry for / exp and checked powers: ``ufunc``, NaN at a non-finite operand."""
     def entry(*args):
         out = ufunc(*args)
         for a in args:
@@ -326,10 +327,29 @@ def _nan_where_operand_nonfinite(ufunc):
     return entry
 
 
+_checked_power = _nan_where_operand_nonfinite(np.power)
+
+
+def _array_power(a, b):
+    """Array table entry for ^ and pow; no check for a positive finite float exponent.
+
+    libm takes four times as long on a negative base of a fractional power,
+    which is NaN, so a mask keeps libm off once a tenth of the bases are.
+    """
+    if isinstance(a, float) or not (isinstance(b, float) and 0.0 < b < math.inf):
+        return _checked_power(a, b)
+    if b.is_integer() or np.minimum.reduce(a, axis=None, initial=0.0) >= 0.0:
+        return np.power(a, b)  # the reduction is NaN, not >= 0, if a base is NaN
+    defined = a >= 0.0
+    if 10 * np.count_nonzero(defined) >= 9 * a.size:
+        return np.power(a, b)  # few negative bases: a masked pow would cost more
+    return np.power(a, b, out=np.full(a.shape, np.nan), where=defined)
+
+
+# / and exp check every array operand; ^ and pow check as _array_power says.
 _ARRAY = {"+": np.add, "-": np.subtract, "*": np.multiply,
           "/": _nan_where_operand_nonfinite(np.divide),
-          "^": _nan_where_operand_nonfinite(np.power),
-          "pow": _nan_where_operand_nonfinite(np.power),
+          "^": _array_power, "pow": _array_power,
           "exp": _nan_where_operand_nonfinite(np.exp),
           "sqrt": np.sqrt, "ln": np.log, "abs": np.abs}
 

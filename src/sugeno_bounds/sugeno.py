@@ -15,7 +15,8 @@ x array is kept: a grid point's coordinate is recomputed the way
 chunk-sized buffers (0.8 MB at the default grid, 80 MB at the cap).  When
 the sampled values are monotone, the level-set boundary is refined by
 bisection and the level set is an exact interval; otherwise the measure
-falls back to grid counting.
+falls back to grid counting.  A count is non-increasing in alpha, so an
+alpha between two counted ones with equal counts takes that count unscanned.
 The grid and the bisection use the two forms of one expression walk, with
 one rule for where the integrand is defined, so a boundary cell's ends are
 evaluable; an EvalError inside the bisection propagates.
@@ -29,6 +30,7 @@ case and an excluded interior point are counted on the grid.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -107,6 +109,7 @@ class _LevelSets:
         self._end = base.b if increasing else base.a
         a_open, b_open = first > 0, stop < grid
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
+        self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
 
     def x(self, i: int) -> float:
         """Coordinate of grid point ``i``: ``np.linspace(a, b, grid)[i]``."""
@@ -122,8 +125,7 @@ class _LevelSets:
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
         if not self.exact_boundaries:
-            count = int(np.count_nonzero(self.vals >= alpha))
-            return (count / self.grid) * self.base.length
+            return (self._settled_count(alpha) / self.grid) * self.base.length
         vals, idx = self._view
         if vals[0] >= alpha:
             return self.base.length
@@ -132,6 +134,20 @@ class _LevelSets:
         i = int(np.searchsorted(vals, alpha, side="left"))
         x_star = self._refine(*sorted((self.x(idx[i - 1]), self.x(idx[i]))), alpha)
         return abs(self._end - x_star)
+
+    def _settled_count(self, alpha: float) -> int:
+        """Grid points with a value >= alpha, taken from the counted neighbours when they agree."""
+        alphas, counts = self._counted
+        k = bisect.bisect_left(alphas, alpha)
+        if 0 < k < len(alphas) and counts[k - 1] == counts[k]:
+            return counts[k]  # the count is non-increasing, so it is settled between them
+        count = self._count(alpha)
+        alphas.insert(k, alpha)
+        counts.insert(k, count)
+        return count
+
+    def _count(self, alpha: float) -> int:
+        return int(np.count_nonzero(self.vals >= alpha))
 
     def _refine(self, lo: float, hi: float, alpha: float) -> float:
         def g(t: float) -> float:

@@ -4,6 +4,8 @@
   second route to the Sugeno integral that shares no solver with the engine.
 * ``distribution_profile``: the distribution function F(alpha) of the engine's
   level sets at chosen alphas.
+* ``evaluate_array_every_operand``: ``evaluate_array`` with both operands of
+  every power checked for finiteness, as ``/`` checks its operands.
 * ``check_sm_convex_whole``: the (s,m)-convexity check on the whole grid^3
   lattice at once, the oracle for the slab-by-slab ``check_sm_convex``.
 * ``increasing_beta_convex`` / ``decreasing_beta_convex``: the plain-convex
@@ -31,7 +33,8 @@ import numpy as np
 from sugeno_bounds.bounds import BetaResult, CaseTag
 from sugeno_bounds.convexity import _CONVEXITY_SLACK, ConvexityVerdict, SMParams, envelope
 from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionError
-from sugeno_bounds.expr import (BinOp, FunctionExpr, Neg, Node, Num, Var, constant, evaluate,
+from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Neg, Node, Num, Var,
+                                _nan_where_operand_nonfinite, _walk, constant, evaluate,
                                 evaluate_array)
 from sugeno_bounds.measure import Interval, MeasureSpec, lebesgue, measure_of
 from sugeno_bounds.rootfind import SolverConfig, solve_sup_threshold
@@ -94,6 +97,19 @@ def distribution_profile(
         raise ValueError("alphas must be strictly increasing")
     levels = _LevelSets(f, base, spec, grid)
     return tuple((a, levels.measure(a)) for a in alphas)
+
+
+_EVERY_OPERAND = {**_ARRAY, "^": _nan_where_operand_nonfinite(np.power),
+                  "pow": _nan_where_operand_nonfinite(np.power)}
+
+
+def evaluate_array_every_operand(f: FunctionExpr, xs) -> np.ndarray:
+    """``evaluate_array`` over a table whose powers check both operands, NaN where undefined."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.array(np.broadcast_to(_walk(f.root, xs, _EVERY_OPERAND), xs.shape), dtype=float)
+    out[~np.isfinite(out)] = np.nan
+    return out
 
 
 def check_sm_convex_whole(f: FunctionExpr, base: Interval, p: SMParams, grid: int) -> ConvexityVerdict:

@@ -211,6 +211,25 @@ def test_undefined_lattice_point_verdict(slab_points):
     assert verdict == ConvexityVerdict(False, (0.0, 0.4, 0.4, 0.3117362800537964), 11, 244)
 
 
+# (x - c)^p is undefined left of c.  In the bench lattice from seed 1 most
+# combination points lie left of c, so most slabs mask the power's negative
+# bases; in the (x-0.9)^0.5 lattice only a few do, and the slabs call the
+# power on them.  At a budget of 1000 points each x row is split into blocks.
+@pytest.mark.parametrize("slab_points", [convexity._SLAB_POINTS, 1000])
+@pytest.mark.parametrize("text,a,b,s,m,want", [
+    ("(1.6893863961460491)*(x-(1.9235381465984458))^(1.6794884338813354)", 2.038577218969886,
+     2.8084634189931306, 0.8664910347500139, 0.5201358128810378,
+     ConvexityVerdict(True, None, 41, 40470)),
+    ("(x-0.9)^0.5", 1.0, 2.0, 1.0, 0.8,
+     ConvexityVerdict(False, (1.0, 2.0, 0.625, 0.05780270433799972), 41, 1061)),
+])
+def test_skip_heavy_lattice_matches_whole(text, a, b, s, m, want, slab_points):
+    f, base, p = parse(text), Interval(a, b), SMParams(s, m)
+    assert check_sm_convex_whole(f, base, p, 41) == want
+    with mock.patch.object(convexity, "_SLAB_POINTS", slab_points):
+        assert check_sm_convex(f, base, p, 41) == want
+
+
 def test_slab_size_is_bounded():
     # after the xs call, each evaluate_array call gets one slab, and the slabs
     # cover the lattice once

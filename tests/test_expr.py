@@ -8,17 +8,19 @@ relative error, not a silent drift.
 import math
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import to_text
+from reference import evaluate_array_every_operand, to_text
 from sugeno_bounds.exceptions import EvalError, ParseError
 from sugeno_bounds.expr import (
     MAX_DEPTH,
     BinOp,
     Call,
     FunctionExpr,
+    Neg,
     Num,
     Var,
     constant,
@@ -377,3 +379,52 @@ def test_array_output_is_never_the_input():
         assert out is not xs and out.shape == xs.shape
     out = evaluate_array(parse("x"), xs)
     assert math.isnan(out[2]) and xs[2] == np.inf  # masked in the copy, not the input
+
+
+# Powers: the array table checks no operand of a power with a positive finite
+# float exponent, and keeps libm off negative bases of a fractional one, yet
+# every point must come out as when both operands are checked.  The wrappers
+# feed the power to consumers that would turn an unchecked infinity finite
+# if the power's own check were needed: 1/inf, exp(-inf), inf*0 and inf^0.
+_POINTS = [-2.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0,
+           1e308, -1e308, math.inf, -math.inf, math.nan]
+_EXPONENTS = [0.5, 1.6794884338813354, 1.0, 2.0, 3.0, 1e300, 0.0, -0.5, -2.0, math.inf]
+_BASES = [Var(), Neg(Var()), BinOp("-", Var(), Num(1.0)), BinOp("*", Num(1e308), Var())]
+_WRAPS = [lambda p: p, lambda p: BinOp("/", Num(1.0), p), lambda p: Call("exp", (Neg(p),)),
+          lambda p: BinOp("*", p, Num(0.0)), lambda p: BinOp("^", p, Num(0.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.one_of(st.sampled_from(_POINTS), st.floats(-10.0, 10.0)),
+                   min_size=64, max_size=64),
+       base=st.sampled_from(_BASES),
+       exponent=st.one_of(st.sampled_from(_EXPONENTS).map(Num),
+                          st.floats(min_value=1e-3, max_value=8.0).map(Num),
+                          st.sampled_from([Var(), BinOp("-", Var(), Num(0.5))])),
+       call=st.booleans(),
+       wrap=st.sampled_from(_WRAPS))
+@example(xs=[-1.0] + [2.0] * 63, base=Var(), exponent=Num(0.5), call=False, wrap=_WRAPS[0])
+@example(xs=[-1.0] * 32 + [math.inf] * 32, base=Var(), exponent=Num(1.5), call=True,
+         wrap=_WRAPS[1])
+def test_array_power_matches_every_operand_checks(xs, base, exponent, call, wrap):
+    power = Call("pow", (base, exponent)) if call else BinOp("^", base, exponent)
+    f = FunctionExpr(wrap(power), "<built>")
+    got, want = evaluate_array(f, xs), evaluate_array_every_operand(f, xs)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+
+
+@pytest.mark.parametrize("negative_share", [0.0, 0.05, 0.5, 1.0])
+def test_array_power_routes_on_runs_of_negative_bases(negative_share):
+    # lattice slabs hold negative bases in runs; a tenth of them switches the
+    # fractional power to its masked route
+    xs = np.linspace(-1.0, 2.0, 3000)
+    xs = np.concatenate([xs[xs < 0.0][:int(negative_share * 1000)], xs[xs >= 0.0][:1000]])
+    f = parse("2*(x-0.25)^1.6794884338813354+x^0.5")
+    assert np.array_equal(evaluate_array(f, xs), evaluate_array_every_operand(f, xs),
+                          equal_nan=True)
+
+
+def test_array_power_of_no_points():
+    out = evaluate_array(parse("x^0.5"), [])
+    assert out.shape == (0,) and out.dtype == float

@@ -176,6 +176,40 @@ def test_non_monotone_integrand():
     assert res.grid_points == 40001  # counting path reports its grid
 
 
+# A bump under the sqrt(x) distortion puts the crossing where F is phi of a
+# count, so a settled count must feed phi the same length.
+_COUNTED = [("abs(x-0.5)", None), ("4*x*(1-x)", None), ("exp(-((x-0.4)/0.15)^2)", None),
+            ("exp(-((x-0.4)/0.15)^2)", "sqrt(x)")]
+
+
+@pytest.mark.parametrize("grid", [101, 10001, DEFAULT_GRID])
+@pytest.mark.parametrize("src,phi", _COUNTED)
+def test_settled_counts_match_counting_every_query(monkeypatch, src, phi, grid):
+    box = Interval(0.0, 1.0)
+    spec = None if phi is None else distortion(parse(phi), box)
+    settled = sugeno_integral(parse(src), box, spec, grid=grid)
+    monkeypatch.setattr(sugeno._LevelSets, "_settled_count", sugeno._LevelSets._count)
+    counted = sugeno_integral(parse(src), box, spec, grid=grid)
+    assert settled.grid_points == grid
+    assert repr(settled) == repr(counted)
+
+
+@pytest.mark.parametrize("src,grid", [("abs(x-0.5)", DEFAULT_GRID), ("4*x*(1-x)", 10001)])
+def test_settled_counts_skip_grid_passes(monkeypatch, src, grid):
+    # here the diagonal crosses F on a flat step, so once the bisection's
+    # bracket lies on that step its midpoints take the step's count without
+    # a pass over the grid (where it crosses at a jump, as 4*x*(1-x) does at
+    # the default grid, the bracket's ends keep different counts)
+    passes, queries = [], []
+    count, measure = sugeno._LevelSets._count, sugeno._LevelSets.measure
+    monkeypatch.setattr(sugeno._LevelSets, "_count", lambda self, a: passes.append(a) or count(self, a))
+    monkeypatch.setattr(sugeno._LevelSets, "measure",
+                        lambda self, a: queries.append(a) or measure(self, a))
+    res = sugeno_integral(parse(src), Interval(0.0, 1.0), grid=grid)
+    assert res.grid_points == grid
+    assert len(passes) <= 0.8 * len(queries), (len(passes), len(queries))
+
+
 def _level_set_measure(f, base, alpha):
     ((_, measure),) = distribution_profile(f, base, alphas=(alpha,))
     return measure
