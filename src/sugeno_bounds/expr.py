@@ -331,19 +331,10 @@ _checked_power = _nan_where_operand_nonfinite(np.power)
 
 
 def _array_power(a, b):
-    """Array table entry for ^ and pow; no check for a positive finite float exponent.
-
-    libm takes four times as long on a negative base of a fractional power,
-    which is NaN, so a mask keeps libm off once a tenth of the bases are.
-    """
+    """Array table entry for ^ and pow; no check for a positive finite float exponent."""
     if isinstance(a, float) or not (isinstance(b, float) and 0.0 < b < math.inf):
         return _checked_power(a, b)
-    if b.is_integer() or np.minimum.reduce(a, axis=None, initial=0.0) >= 0.0:
-        return np.power(a, b)  # the reduction is NaN, not >= 0, if a base is NaN
-    defined = a >= 0.0
-    if 10 * np.count_nonzero(defined) >= 9 * a.size:
-        return np.power(a, b)  # few negative bases: a masked pow would cost more
-    return np.power(a, b, out=np.full(a.shape, np.nan), where=defined)
+    return np.power(a, b)
 
 
 # / and exp check every array operand; ^ and pow check as _array_power says.

@@ -212,9 +212,9 @@ def test_undefined_lattice_point_verdict(slab_points):
 
 
 # (x - c)^p is undefined left of c.  In the bench lattice from seed 1 most
-# combination points lie left of c, so most slabs mask the power's negative
-# bases; in the (x-0.9)^0.5 lattice only a few do, and the slabs call the
-# power on them.  At a budget of 1000 points each x row is split into blocks.
+# combination points lie left of c, so most slabs hold many negative bases;
+# in the (x-0.9)^0.5 lattice only a few do.  At a budget of 1000 points each
+# x row is split into blocks.
 @pytest.mark.parametrize("slab_points", [convexity._SLAB_POINTS, 1000])
 @pytest.mark.parametrize("text,a,b,s,m,want", [
     ("(1.6893863961460491)*(x-(1.9235381465984458))^(1.6794884338813354)", 2.038577218969886,
