@@ -48,7 +48,6 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_array",
-    "constant",
     "product",
 ]
 
@@ -364,13 +363,6 @@ def evaluate_array(f: FunctionExpr, xs) -> np.ndarray:
         if not finite.all():
             out[~finite] = np.nan
     return out
-
-
-def constant(value: float) -> FunctionExpr:
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError("constant must be finite")
-    return FunctionExpr(Num(v), repr(v))
 
 
 def product(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:

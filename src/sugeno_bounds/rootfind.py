@@ -4,7 +4,10 @@
 non-increasing G by bisecting on the predicate G(alpha) >= alpha.  This is
 robust to jump discontinuities in G, where a plain root finder on
 G(alpha) - alpha would fail.  ``solve_sign_change`` is ordinary bisection
-for continuous sign changes.  Both are entry points over one halving loop.
+for continuous sign changes.  Both are entry points over one halving loop,
+``_halve``, which also refines the integral's level-set crossings directly,
+because the grid already gives the sign at each end of the crossing cell;
+nothing in the package calls ``solve_sign_change`` itself.
 Neither probes G for monotonicity: the integral's G is non-increasing by
 construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
 """

@@ -17,9 +17,9 @@ the sampled values are monotone, the level-set boundary is refined by
 bisection and the level set is an exact interval; otherwise the measure
 falls back to grid counting.  A count is non-increasing in alpha, so an
 alpha between two counted ones with equal counts takes that count unscanned.
-The grid and the bisection use the two forms of one expression walk, with
-one rule for where the integrand is defined, so a boundary cell's ends are
-evaluable; an EvalError inside the bisection propagates.
+The crossing cell's ends come from the grid, which already puts one on each
+side of alpha, so they are not evaluated again: the bisection evaluates only
+midpoints, and an EvalError at a midpoint propagates.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BracketError, EvalError, NegativeFunctionError
+from .exceptions import EvalError, NegativeFunctionError
 from .expr import FunctionExpr, evaluate, evaluate_array
 from .measure import Interval, MeasureSpec, lebesgue, measure_of
-from .rootfind import SolverConfig, solve_sign_change, solve_sup_threshold
+from .rootfind import SolverConfig, _halve, solve_sup_threshold
 
 __all__ = [
     "DEFAULT_GRID",
@@ -52,7 +52,7 @@ MAX_GRID = 10**7
 MAX_EXCLUDED_FRACTION = 0.001
 NEG_SLACK = 1e-12  # how far below zero a non-negative function's values may dip
 _MIN_GRID = 101
-_REFINE_CFG = SolverConfig(tol=1e-12)
+_REFINE_TOL = 1e-12
 _CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
 
 
@@ -131,9 +131,12 @@ class _LevelSets:
             return self.base.length
         if vals[-1] < alpha:
             return 0.0
-        i = int(np.searchsorted(vals, alpha, side="left"))
-        x_star = self._refine(*sorted((self.x(idx[i - 1]), self.x(idx[i]))), alpha)
-        return abs(self._end - x_star)
+        i = int(np.searchsorted(vals, alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
+        lo, hi = sorted((self.x(idx[i - 1]), self.x(idx[i])))
+        # the grid puts f(lo) below alpha when f rises and at or above it when f falls
+        falling = idx.step < 0
+        a, b, _ = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, 0.0, falling, _REFINE_TOL)
+        return abs(self._end - 0.5 * (a + b))
 
     def _settled_count(self, alpha: float) -> int:
         """Grid points with a value >= alpha, taken from the counted neighbours when they agree."""
@@ -148,16 +151,6 @@ class _LevelSets:
 
     def _count(self, alpha: float) -> int:
         return int(np.count_nonzero(self.vals >= alpha))
-
-    def _refine(self, lo: float, hi: float, alpha: float) -> float:
-        def g(t: float) -> float:
-            return evaluate(self.f, t) - alpha
-        try:
-            return solve_sign_change(g, lo, hi, _REFINE_CFG)
-        except BracketError:
-            # One grid cell brackets the boundary, but libm and numpy can differ
-            # by an ulp in exp and pow, so both scalar ends may fall on one side.
-            return lo if abs(g(lo)) <= abs(g(hi)) else hi
 
     def unresolved(self, alpha: float) -> bool:
         """Whether the level set at alpha ends in an excluded end cell, which is not refined."""

@@ -4,6 +4,7 @@
   second route to the Sugeno integral that shares no solver with the engine.
 * ``distribution_profile``: the distribution function F(alpha) of the engine's
   level sets at chosen alphas.
+* ``constant``: the constant function with a finite value.
 * ``evaluate_array_every_operand``: ``evaluate_array`` with both operands of
   every power checked for finiteness, as ``/`` checks its operands.
 * ``check_sm_convex_whole``: the (s,m)-convexity check on the whole grid^3
@@ -34,7 +35,7 @@ from sugeno_bounds.bounds import BetaResult, CaseTag
 from sugeno_bounds.convexity import _CONVEXITY_SLACK, ConvexityVerdict, SMParams, envelope
 from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionError
 from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Neg, Node, Num, Var,
-                                _nan_where_operand_nonfinite, _walk, constant, evaluate,
+                                _nan_where_operand_nonfinite, _walk, evaluate,
                                 evaluate_array)
 from sugeno_bounds.measure import Interval, MeasureSpec, lebesgue, measure_of
 from sugeno_bounds.rootfind import SolverConfig, solve_sup_threshold
@@ -97,6 +98,13 @@ def distribution_profile(
         raise ValueError("alphas must be strictly increasing")
     levels = _LevelSets(f, base, spec, grid)
     return tuple((a, levels.measure(a)) for a in alphas)
+
+
+def constant(value: float) -> FunctionExpr:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError("constant must be finite")
+    return FunctionExpr(Num(v), repr(v))
 
 
 _EVERY_OPERAND = {**_ARRAY, "^": _nan_where_operand_nonfinite(np.power),

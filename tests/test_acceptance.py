@@ -19,6 +19,7 @@ import pytest
 from conftest import record_acceptance
 from reference import (
     check_proposition_properties,
+    constant,
     decreasing_beta_convex,
     distribution_profile,
     increasing_beta_convex,
@@ -29,7 +30,7 @@ from reference import (
 from sugeno_bounds.bounds import endpoint_bound, verify_hadamard
 from sugeno_bounds.cli import reproduce, run
 from sugeno_bounds.convexity import EndpointData, SMParams, check_sm_convex, envelope
-from sugeno_bounds.expr import constant, parse, product
+from sugeno_bounds.expr import parse, product
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
 from sugeno_bounds.sugeno import sugeno_integral

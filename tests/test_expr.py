@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import evaluate_array_every_operand, to_text
+from reference import constant, evaluate_array_every_operand, to_text
 from sugeno_bounds.exceptions import EvalError, ParseError
 from sugeno_bounds.expr import (
     MAX_DEPTH,
@@ -23,7 +23,6 @@ from sugeno_bounds.expr import (
     Neg,
     Num,
     Var,
-    constant,
     evaluate,
     evaluate_array,
     parse,

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (PreconditionError, check_proposition_properties, distribution_profile,
-                       sugeno_integral_oracle)
+from reference import (PreconditionError, check_proposition_properties, constant,
+                       distribution_profile, sugeno_integral_oracle)
 from sugeno_bounds import sugeno
 from sugeno_bounds.cli import run
 from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
-from sugeno_bounds.expr import BinOp, Call, FunctionExpr, Num, Var, constant, evaluate_array, parse
+from sugeno_bounds.expr import BinOp, Call, FunctionExpr, Num, Var, evaluate_array, parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.rootfind import SolverConfig
 from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_GRID, sugeno_integral
@@ -299,14 +299,45 @@ def test_unresolved_exclusions_count_on_the_grid(src, exact):
 
 
 def test_monotone_integral_scalar_evaluations(monkeypatch):
-    # each boundary cell's ends are evaluated once, by the sign-change solve,
-    # and the threshold solve does not probe F
+    # the boundary bisection evaluates only midpoints (the grid has the cell
+    # ends), and the threshold solve does not probe F
     calls = []
     evaluate = sugeno.evaluate
     monkeypatch.setattr(sugeno, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
     res = sugeno_integral(parse("x^2"), Interval(1.0, 4.0))
     assert res.value == pytest.approx(SQUARE_14, abs=1e-11)
-    assert len(calls) <= 1250
+    assert len(calls) <= 1119
+
+
+def test_boundary_refinement_never_evaluates_a_grid_point(monkeypatch):
+    f, grid = parse("x^2"), 1001
+    points = []
+    evaluate = sugeno.evaluate
+
+    def recording(g, x):
+        if g is f:  # the integrand, not the distortion
+            points.append(x)
+        return evaluate(g, x)
+
+    monkeypatch.setattr(sugeno, "evaluate", recording)
+    res = sugeno_integral(f, Interval(1.0, 4.0), grid=grid)
+    assert res.grid_points is None and points
+    assert not set(points) & set(np.linspace(1.0, 4.0, grid).tolist())
+
+
+@pytest.mark.parametrize("src, i, length", [
+    ("exp(x)", 2615, lambda x: 1.0 - x),   # rising: the level set is [x, 1]
+    ("exp(1-x)", 562, lambda x: x),        # falling: the level set is [0, x]
+])
+def test_crossing_on_an_ulp_split_grid_value(src, i, length):
+    # At alpha = numpy's value at grid point i, libm's value there is an ulp
+    # lower, so a scalar evaluation puts both ends of the crossing cell below
+    # alpha.  The refinement keeps the side the grid gives each end.
+    levels = sugeno._LevelSets(parse(src), Interval(0.0, 1.0), lebesgue(), DEFAULT_GRID)
+    x, alpha = levels.x(i), float(levels.vals[i])
+    if not sugeno.evaluate(levels.f, x) < alpha:
+        pytest.skip("numpy and libm agree at this grid point on this platform")
+    assert abs(levels.level_length(alpha) - length(x)) <= 1e-12
 
 
 def test_tight_tolerance_improves_residual():
