@@ -3,11 +3,16 @@
 ``solve_sup_threshold`` computes sup{alpha : G(alpha) >= alpha} for a
 non-increasing G by bisecting on the predicate G(alpha) >= alpha.  This is
 robust to jump discontinuities in G, where a plain root finder on
-G(alpha) - alpha would fail.  ``solve_sign_change`` is ordinary bisection
-for continuous sign changes.  Both are entry points over one halving loop,
-``_halve``, which also refines the integral's level-set crossings directly,
-because the grid already gives the sign at each end of the crossing cell;
-nothing in the package calls ``solve_sign_change`` itself.
+G(alpha) - alpha would fail.  A step needs only the side of alpha that
+G(alpha) lies on, so G may answer it with a bound on that side, as the
+integral's level sets do when the crossing's grid cell settles the step.
+The residual |G(alpha_lo) - alpha_lo| is therefore taken once, after the
+bisection, from the exact G at the returned alpha_lo.  ``solve_sign_change``
+is ordinary bisection for continuous sign changes.  Both are entry points
+over one halving loop, ``_halve``, which also refines the integral's
+level-set crossings directly, because the grid already gives the sign at
+each end of the crossing cell; nothing in the package calls
+``solve_sign_change`` itself.
 Neither probes G for monotonicity: the integral's G is non-increasing by
 construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
 """
@@ -47,13 +52,13 @@ class FixedPointResult:
 
 
 def _halve(
-    h: Callable[[float], float], a: float, b: float, h_a: float, keep_positive: bool, tol: float
-) -> tuple[float, float, float]:
+    h: Callable[[float], float], a: float, b: float, keep_positive: bool, tol: float
+) -> tuple[float, float]:
     """Halve [a, b] until it is narrower than ``tol`` or float resolution is reached.
 
     A midpoint t replaces ``a`` when (h(t) > 0) == keep_positive and ``b``
     otherwise; an exact h(t) == 0 collapses the bracket to t.  Returns the
-    final (a, b, h(a)).
+    final (a, b).
     """
     while b - a > tol:
         mid = 0.5 * (a + b)
@@ -61,12 +66,12 @@ def _halve(
             break  # float resolution reached
         h_mid = h(mid)
         if h_mid == 0.0:
-            return mid, mid, 0.0
+            return mid, mid
         if (h_mid > 0.0) == keep_positive:
-            a, h_a = mid, h_mid
+            a = mid
         else:
             b = mid
-    return a, b, h_a
+    return a, b
 
 
 def solve_sup_threshold(
@@ -74,24 +79,29 @@ def solve_sup_threshold(
     lo: float,
     hi: float,
     cfg: SolverConfig = SolverConfig(),
+    exact: Callable[[float], float] | None = None,
 ) -> FixedPointResult:
     """sup{alpha in [lo, hi] : G(alpha) >= alpha} for non-increasing G.
 
-    Raises :class:`BracketError` if the bracket is not finite or the
-    predicate fails already at ``lo``.  If the predicate holds at ``hi`` the
-    supremum is ``hi`` itself.  An exact tie G(alpha) == alpha found along the
-    way is returned immediately.
+    G may answer a step with a bound on the same side of alpha as the exact
+    value, equal to alpha only where that value is; ``exact``, the exact
+    function (G itself when not given), then gives the residual at the
+    returned alpha.  Raises :class:`BracketError` if the bracket is not
+    finite or the predicate fails already at ``lo``.  If the predicate holds
+    at ``hi`` the supremum is ``hi`` itself.  An exact tie G(alpha) == alpha
+    found along the way is returned immediately.
     """
+    exact = G if exact is None else exact
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise BracketError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     g_lo = G(lo)
     if g_lo < lo:
         raise BracketError(f"G(lo)={g_lo!r} < lo={lo!r}: predicate fails at the left end")
-    g_hi = G(hi)
-    if g_hi >= hi:
-        return FixedPointResult(hi, abs(g_hi - hi), (hi, hi))
-    a, b, h_a = _halve(lambda t: G(t) - t, lo, hi, g_lo - lo, True, cfg.tol)
-    return FixedPointResult(a, abs(h_a), (a, b))
+    if G(hi) >= hi:
+        a = b = hi
+    else:
+        a, b = _halve(lambda t: G(t) - t, lo, hi, True, cfg.tol)
+    return FixedPointResult(a, abs(exact(a) - a), (a, b))
 
 
 def solve_sign_change(
@@ -111,5 +121,5 @@ def solve_sign_change(
         return hi
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise BracketError(f"no sign change: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
-    a, b, _ = _halve(g, lo, hi, g_lo, g_lo > 0.0, cfg.tol)
+    a, b = _halve(g, lo, hi, g_lo > 0.0, cfg.tol)
     return 0.5 * (a + b)  # a tie leaves a == b, and 0.5 * (t + t) == t

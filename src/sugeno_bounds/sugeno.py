@@ -20,6 +20,13 @@ alpha between two counted ones with equal counts takes that count unscanned.
 The crossing cell's ends come from the grid, which already puts one on each
 side of alpha, so they are not evaluated again: the bisection evaluates only
 midpoints, and an EvalError at a midpoint propagates.
+The threshold solve needs only whether F(alpha) >= alpha, and the refined
+boundary lies inside the crossing cell, so phi of the level lengths at the
+cell's two ends bounds F(alpha).  A step where alpha lies outside those
+bounds by more than 1e-12 * max(1, alpha) is settled without evaluating f;
+only the other steps, and the residual at the returned alpha, refine.  The
+margin is not needed under Lebesgue measure, where F is the length itself,
+but a float phi such as x/(1+x) can fall by a few ulps where it should rise.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -53,6 +60,7 @@ MAX_EXCLUDED_FRACTION = 0.001
 NEG_SLACK = 1e-12  # how far below zero a non-negative function's values may dip
 _MIN_GRID = 101
 _REFINE_TOL = 1e-12
+_SETTLE_MARGIN = 1e-12  # times max(1, alpha); see the module docstring
 _CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
 
 
@@ -106,7 +114,7 @@ class _LevelSets:
         # when rising, a when falling).
         idx = range(first, stop)
         self._view = (vals, idx) if increasing else (vals[::-1], idx[::-1])
-        self._end = base.b if increasing else base.a
+        self._start, self._end = (base.a, base.b) if increasing else (base.b, base.a)
         a_open, b_open = first > 0, stop < grid
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
@@ -126,16 +134,26 @@ class _LevelSets:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
         if not self.exact_boundaries:
             return (self._settled_count(alpha) / self.grid) * self.base.length
+        return self._refined_length(alpha, *self._cell(alpha))
+
+    def _cell(self, alpha: float) -> tuple[float, float]:
+        """x ends (lo, hi) of the grid cell holding the level set's boundary at alpha;
+        lo == hi is the boundary itself where no sample crosses alpha."""
         vals, idx = self._view
         if vals[0] >= alpha:
-            return self.base.length
+            return self._start, self._start
         if vals[-1] < alpha:
-            return 0.0
+            return self._end, self._end
         i = int(np.searchsorted(vals, alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
         lo, hi = sorted((self.x(idx[i - 1]), self.x(idx[i])))
+        return lo, hi
+
+    def _refined_length(self, alpha: float, lo: float, hi: float) -> float:
+        if lo == hi:
+            return abs(self._end - lo)
         # the grid puts f(lo) below alpha when f rises and at or above it when f falls
-        falling = idx.step < 0
-        a, b, _ = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, 0.0, falling, _REFINE_TOL)
+        falling = self._view[1].step < 0
+        a, b = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, falling, _REFINE_TOL)
         return abs(self._end - 0.5 * (a + b))
 
     def _settled_count(self, alpha: float) -> int:
@@ -160,6 +178,17 @@ class _LevelSets:
     def measure(self, alpha: float) -> float:
         return evaluate(self.spec.phi, self.level_length(alpha))
 
+    def threshold_step(self, alpha: float) -> float:
+        """F(alpha), or phi at an end of the crossing cell where the ends settle F(alpha) >= alpha."""
+        if not self.exact_boundaries:
+            return self.measure(alpha)
+        lo, hi = self._cell(alpha)
+        low, high = sorted(evaluate(self.spec.phi, abs(self._end - x)) for x in (lo, hi))
+        margin = _SETTLE_MARGIN * max(1.0, abs(alpha))
+        if low - margin <= alpha <= high + margin:
+            return evaluate(self.spec.phi, self._refined_length(alpha, lo, hi))
+        return low  # the refined boundary lies in [lo, hi], so F(alpha) is on low's side of alpha
+
 
 def sugeno_integral(
     f: FunctionExpr,
@@ -177,10 +206,10 @@ def sugeno_integral(
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         grid_points = None if levels.exact_boundaries else grid
         return IntegralResult(0.0, "fixed_point", abs(mu_total), (0.0, 0.0), grid_points)
-    res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
+    res = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg, levels.measure)
     if levels.exact_boundaries and any(map(levels.unresolved, res.bracket)):
         levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
-        res = solve_sup_threshold(levels.measure, 0.0, mu_total, cfg)
+        res = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg, levels.measure)
     grid_points = None if levels.exact_boundaries else grid
     return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
 

@@ -5,6 +5,7 @@ mpmath root, never copied from the engine under test.
 """
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -298,15 +299,80 @@ def test_unresolved_exclusions_count_on_the_grid(src, exact):
     assert res.value == pytest.approx(exact, abs=2e-5)
 
 
+def _scalar_calls(monkeypatch, cfg):
+    """Integrand and phi evaluations of the x^2 integral on [1,4]."""
+    f, calls = parse("x^2"), {"f": 0, "phi": 0}
+    evaluate = sugeno.evaluate
+
+    def counting(g, x):
+        calls["f" if g is f else "phi"] += 1
+        return evaluate(g, x)
+
+    monkeypatch.setattr(sugeno, "evaluate", counting)
+    res = sugeno_integral(f, Interval(1.0, 4.0), cfg=cfg)
+    assert res.value == pytest.approx(SQUARE_14, abs=max(cfg.tol, 1e-11))
+    return calls
+
+
 def test_monotone_integral_scalar_evaluations(monkeypatch):
     # the boundary bisection evaluates only midpoints (the grid has the cell
-    # ends), and the threshold solve does not probe F
-    calls = []
-    evaluate = sugeno.evaluate
-    monkeypatch.setattr(sugeno, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
-    res = sugeno_integral(parse("x^2"), Interval(1.0, 4.0))
-    assert res.value == pytest.approx(SQUARE_14, abs=1e-11)
-    assert len(calls) <= 1119
+    # ends), a step that phi at the crossing cell's ends settles evaluates no
+    # f, and the threshold solve does not probe F
+    calls = _scalar_calls(monkeypatch, SolverConfig())
+    assert calls["f"] <= 675 and calls["phi"] <= 115, calls
+
+
+def test_loose_tolerance_settles_every_step(monkeypatch):
+    # the solve stops before alpha comes within the crossing cell's bounds on
+    # F, so every step is settled and only the residual refines
+    calls = _scalar_calls(monkeypatch, SolverConfig(tol=1e-3))
+    assert calls["f"] <= 25 and calls["phi"] <= 29, calls
+
+
+def _monotone_draws(seed, n):
+    # the benchmark's three monotone families (power, reciprocal power,
+    # exponential), each drawn rising and falling (t = b + a - x mirrors a draw on [a, b]),
+    # redrawn until f dips below b - a, so that the Lebesgue integral is an
+    # interior crossing and not the saturated mu(X)
+    rng, i = random.Random(seed), 0
+    while i < n:
+        a = rng.uniform(0.0, 8.0)
+        b = a + rng.uniform(0.5, min(9.0, 10.0 - a))
+        c0, c1 = rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)
+        t = "x" if i % 2 == 0 else f"({a + b!r}-x)"
+        family = (i // 2) % 3
+        if family == 0:
+            src = f"{c0!r}+{c1!r}*{t}^{rng.uniform(0.3, 4.0)!r}"
+        elif family == 1:
+            src = f"{c0!r}+{4 * c1!r}/({t}+{rng.uniform(0.1, 2.0)!r})^{rng.uniform(0.5, 3.0)!r}"
+        else:
+            src = f"{c0!r}+{c1!r}*exp({rng.uniform(0.1, 1.2)!r}*{t})"
+        if np.min(evaluate_array(parse(src), np.linspace(a, b, 101))) < b - a:
+            yield pytest.param(src, Interval(a, b), id=f"draw{i}")
+            i += 1
+
+
+_MEASURES = [None, "sqrt(x)", "x^2", "x/(1+x)", "x^3-x^2+x", "(x+1e10)-1e10"]
+_JUMP = "1-(abs(x-1)-(x-1))/2+(abs(x-2.8)+(x-2.8))/2"  # x, then 1 on [1, 2.8], then x - 1.8
+
+
+@pytest.mark.parametrize("grid", [101, 1001, DEFAULT_GRID])
+@pytest.mark.parametrize("phi", _MEASURES)
+@pytest.mark.parametrize("src,base", [*_monotone_draws(2024, 6),
+                                      pytest.param(_JUMP, Interval(0.0, 3.0), id="jump"),
+                                      pytest.param(f"2-({_JUMP})", Interval(0.0, 3.0),
+                                                   id="jump-mirrored")])
+def test_settled_steps_match_refining_every_step(monkeypatch, src, base, phi, grid):
+    # At the jump pair's last accepted alpha the crossing cell settles the
+    # step, so a residual read from phi at the cell's ends would be one
+    # cell's length off (0.99998 instead of 1.0000000000003761 at the
+    # default grid); the solve must take it from the exact F.
+    spec = None if phi is None else distortion(parse(phi), base)
+    settled = sugeno_integral(parse(src), base, spec, grid=grid)
+    monkeypatch.setattr(sugeno._LevelSets, "threshold_step", sugeno._LevelSets.measure)
+    refined = sugeno_integral(parse(src), base, spec, grid=grid)
+    assert settled.grid_points is None
+    assert settled == refined
 
 
 def test_boundary_refinement_never_evaluates_a_grid_point(monkeypatch):
