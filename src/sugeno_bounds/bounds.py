@@ -11,15 +11,17 @@ compares with m*f(a) (and likewise for g):
 * degenerate case  (both equal):  beta = m**2 * 2**(2-2s) * f(a) * g(a),
 
 with w = b - m*a and Q = (beta - m * 2**(1-s) * f(a)) / (f(b) - m*f(a)),
-clamped to [0, 1].  Mixed endpoint configurations have no supported bound,
-and neither do negative endpoint values or a threshold that overflows.
+clamped to [0, 1].  The factor lengths are kept exactly as these closed
+forms give them, even where they stray outside [0, b - a] (m < 1).  Mixed
+endpoint configurations have no supported bound, and neither do negative
+endpoint values or a threshold that overflows.
 
-``literal`` mode keeps the factor lengths exactly as the closed forms give
-them (they can stray outside [0, b - a] when m < 1); measure-consistent mode
-clamps each factor to [0, b - a].  The two coincide for m = 1.
+The bound is the paper's, and it is not valid in general: for f = g = 2x on
+[0, 1] with s = m = 1 the integral of f*g is (9 - sqrt(17))/8 = 0.6096 and
+beta is 4 - 2*sqrt(3) = 0.5359.
 
 ``solve_sup_threshold`` trusts its G to be non-increasing.  The envelope
-product can rise in the literal decreasing case with m < 1 (a factor length
+product can rise in the decreasing case with m < 1 (a factor length
 w * Q**(1/s) + (m*a - a) can turn negative), so ``endpoint_bound`` probes F
 at a few points after the solve and warns if it rises; the integral engine's
 F is a distribution function and needs no probe.
@@ -74,7 +76,6 @@ class BetaResult:
     residual: float
     bound: float  # min(beta, b - a)
     case: CaseTag
-    literal_mode: bool
 
 
 def classify_case(e: EndpointData, p: SMParams) -> CaseTag:
@@ -106,7 +107,6 @@ def envelope_distribution(
     e: EndpointData,
     base: Interval,
     p: SMParams,
-    literal: bool = True,
 ) -> Callable[[float], float]:
     """Envelope-product distribution F(beta) for the increasing or decreasing case."""
     tag = classify_case(e, p)
@@ -120,14 +120,12 @@ def envelope_distribution(
     w = base.b - p.m * base.a
     shift = p.m * base.a - base.a  # non-positive; zero when m = 1
     inv_s = 1.0 / p.s
-    cap = base.length
     factor_f = (p.m * c * e.fa, e.fb - p.m * e.fa)  # (envelope offset, scale)
     factor_g = (p.m * c * e.ga, e.gb - p.m * e.ga)
 
     def factor_length(beta: float, edge: float, d: float) -> float:
         q = min(max((beta - edge) / d, 0.0), 1.0) ** inv_s
-        length = w * (1.0 - q) if increasing else w * q + shift
-        return length if literal else min(max(length, 0.0), cap)
+        return w * (1.0 - q) if increasing else w * q + shift
 
     def F(beta: float) -> float:
         return factor_length(beta, *factor_f) * factor_length(beta, *factor_g)
@@ -149,7 +147,6 @@ def endpoint_bound(
     base: Interval,
     p: SMParams,
     cfg: SolverConfig | None = None,
-    literal: bool = True,
 ) -> BetaResult:
     """Bound threshold from endpoint data; mixed endpoints raise UnsupportedCaseError.
 
@@ -167,14 +164,14 @@ def endpoint_bound(
         beta = max((p.m * p.m) * 2.0 ** (2.0 - 2.0 * p.s) * (e.fa * e.ga), 0.0)
         if not math.isfinite(beta):
             raise DomainError(f"the degenerate-case threshold overflows: {beta!r}")
-        return BetaResult(beta, 0.0, min(beta, base.length), tag, literal)
+        return BetaResult(beta, 0.0, min(beta, base.length), tag)
     cfg = SolverConfig() if cfg is None else cfg
-    F = envelope_distribution(e, base, p, literal)
+    F = envelope_distribution(e, base, p)
     w = base.b - p.m * base.a
     hi = max(w * w, base.length)
     res = solve_sup_threshold(F, 0.0, hi, cfg)
     _warn_if_rising(F, 0.0, hi)
-    return BetaResult(res.value, res.residual, min(res.value, base.length), tag, literal)
+    return BetaResult(res.value, res.residual, min(res.value, base.length), tag)
 
 
 def hadamard_bound(
@@ -183,10 +180,9 @@ def hadamard_bound(
     base: Interval,
     p: SMParams,
     cfg: SolverConfig | None = None,
-    literal: bool = True,
 ) -> BetaResult:
     """Bound threshold for f*g from the endpoint values of f and g."""
-    return endpoint_bound(endpoint_data(f, g, base), base, p, cfg, literal)
+    return endpoint_bound(endpoint_data(f, g, base), base, p, cfg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,13 +201,12 @@ def verify_hadamard(
     p: SMParams,
     cfg: SolverConfig | None = None,
     grid: int = DEFAULT_GRID,
-    literal: bool = True,
 ) -> VerificationReport:
     """Integrate f*g, compute the endpoint bounds, and report the measured margin."""
     cfg = SolverConfig() if cfg is None else cfg
     integral = sugeno_integral(product(f, g), base, lebesgue(), cfg, grid)
     e = endpoint_data(f, g, base)
-    bound = endpoint_bound(e, base, p, cfg, literal)
+    bound = endpoint_bound(e, base, p, cfg)
     kir = kirmaci_bound(e, p.s)
     margin = bound.bound - integral.value
     return VerificationReport(integral, bound, kir, margin >= -HOLDS_TOL, margin)

@@ -201,7 +201,6 @@ def _report_fields(report) -> list[tuple[str, object]]:
     if isinstance(report, IntegralResult):
         return [
             ("value", report.value),
-            ("method", report.method),
             ("residual", report.residual),
             ("alpha_lo", report.alpha_bracket[0]),
             ("alpha_hi", report.alpha_bracket[1]),
@@ -213,7 +212,6 @@ def _report_fields(report) -> list[tuple[str, object]]:
             ("residual", report.residual),
             ("bound", report.bound),
             ("case", report.case.value),
-            ("literal_mode", report.literal_mode),
         ]
     if isinstance(report, VerificationReport):
         return [
@@ -224,7 +222,6 @@ def _report_fields(report) -> list[tuple[str, object]]:
             ("case", report.hadamard.case.value),
             ("holds", report.holds),
             ("margin", report.margin),
-            ("literal_mode", report.hadamard.literal_mode),
             ("residual", report.hadamard.residual),
         ]
     if isinstance(report, ConvexityVerdict):
@@ -320,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(default %(default)s, at most {MAX_GRID:,})")
     pair = options(func)
     pair.add_argument("--g", required=True, dest="g_text", metavar="EXPR")
-    pair.add_argument("--literal", action=argparse.BooleanOptionalAction, default=True,
-                      help="keep factor lengths as the closed form gives them "
-                           "(--no-literal clamps each factor to [0, b-a])")
 
     p = sub.add_parser("integrate", parents=[func, grid, tol, fmt],
                        help="Sugeno integral of f over [a,b]")
@@ -357,9 +351,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         g = parse(args.g_text)
         p, cfg = SMParams(args.s, args.m), SolverConfig(tol=args.tol)
         if args.command == "bound":
-            report = hadamard_bound(f, g, base, p, cfg, args.literal)
+            report = hadamard_bound(f, g, base, p, cfg)
         else:
-            report = verify_hadamard(f, g, base, p, cfg, args.grid, args.literal)
+            report = verify_hadamard(f, g, base, p, cfg, args.grid)
     print(emit_report(report, args.format))
     violated = args.command == "verify" and args.fail_on_violation and not report.holds
     return 1 if violated else 0

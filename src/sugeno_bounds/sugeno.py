@@ -67,7 +67,6 @@ _CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
 @dataclass(frozen=True, slots=True)
 class IntegralResult:
     value: float
-    method: str  # always "fixed_point"
     residual: float
     alpha_bracket: tuple[float, float]
     grid_points: int | None = None
@@ -205,11 +204,11 @@ def sugeno_integral(
     if mu_total <= 0.0:
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         grid_points = None if levels.exact_boundaries else grid
-        return IntegralResult(0.0, "fixed_point", abs(mu_total), (0.0, 0.0), grid_points)
+        return IntegralResult(0.0, abs(mu_total), (0.0, 0.0), grid_points)
     res = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg, levels.measure)
     if levels.exact_boundaries and any(map(levels.unresolved, res.bracket)):
         levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
         res = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg, levels.measure)
     grid_points = None if levels.exact_boundaries else grid
-    return IntegralResult(res.value, "fixed_point", res.residual, res.bracket, grid_points)
+    return IntegralResult(res.value, res.residual, res.bracket, grid_points)
 

@@ -155,7 +155,7 @@ def _clamp01(q: float) -> float:
 
 def _solve_convex(F, w: float, case: CaseTag, cfg: SolverConfig | None) -> BetaResult:
     res = solve_sup_threshold(F, 0.0, max(w * w, w), SolverConfig() if cfg is None else cfg)
-    return BetaResult(res.value, res.residual, min(res.value, w), case, True)
+    return BetaResult(res.value, res.residual, min(res.value, w), case)
 
 
 def increasing_beta_convex(e, base: Interval, cfg: SolverConfig | None = None) -> BetaResult:

@@ -205,43 +205,27 @@ def test_residual_certificate_both_sides():
     assert F(res.beta + eps) < res.beta + eps
 
 
-def test_literal_equals_clamped_when_m_is_one():
-    e = EndpointData(1.0, 8.0, 1.0, 2.0)
-    box = Interval(1.0, 4.0)
-    p = SMParams(0.7, 1.0)
-    lit = endpoint_bound(e, box, p, TIGHT, literal=True)
-    cl = endpoint_bound(e, box, p, TIGHT, literal=False)
-    assert lit.beta == cl.beta
-    assert lit.literal_mode and not cl.literal_mode
-
-
-def test_literal_and_clamped_differ_when_m_below_one():
-    # w = b - m*a = 1.1 exceeds b - a = 1, so below both offsets the literal
-    # distribution sits at w^2 = 1.21 and the clamped one at 1.0
+def test_beta_exceeds_base_length_when_m_below_one():
+    # w = b - m*a = 1.1 exceeds b - a = 1, so below both offsets the
+    # distribution sits at w^2 = 1.21, beyond the base length
     e = EndpointData(2.0, 20.0, 2.0, 2.2)
     box = Interval(1.0, 2.0)
     p = SMParams(1.0, 0.9)
-    lit = endpoint_bound(e, box, p, TIGHT, literal=True)
-    cl = endpoint_bound(e, box, p, TIGHT, literal=False)
-    assert lit.beta == pytest.approx(1.1 * 1.1, abs=1e-9)
-    assert cl.beta == pytest.approx(1.0, abs=1e-9)
-    assert lit.bound == pytest.approx(1.0, abs=1e-9)  # min(beta, b-a) still caps
+    res = endpoint_bound(e, box, p, TIGHT)
+    assert res.beta == pytest.approx(1.1 * 1.1, abs=1e-9)
+    assert res.bound == pytest.approx(1.0, abs=1e-9)  # min(beta, b-a) still caps
 
 
 def test_decreasing_literal_shift_negative_lengths():
-    # m < 1 with a > 0: above the envelope top the literal factor length is
-    # the negative shift m*a - a, so the product is spuriously positive;
-    # clamped mode floors each factor at zero
+    # m < 1 with a > 0: above the envelope top the factor length is the
+    # negative shift m*a - a, so the product is spuriously positive
     e = EndpointData(4.0, 1.0, 4.0, 1.0)
     box = Interval(1.0, 2.0)
     p = SMParams(1.0, 0.5)
-    F_lit = envelope_distribution(e, box, p, literal=True)
-    F_cl = envelope_distribution(e, box, p, literal=False)
-    assert F_lit(3.0) == pytest.approx(0.25)  # (-0.5) * (-0.5)
-    assert F_cl(3.0) == 0.0
-    # below the envelope bottom both modes report the full base length
-    assert F_lit(0.0) == pytest.approx(1.0)
-    assert F_cl(0.0) == pytest.approx(1.0)
+    F = envelope_distribution(e, box, p)
+    assert F(3.0) == pytest.approx(0.25)  # (-0.5) * (-0.5)
+    # below the envelope bottom it is the full base length
+    assert F(0.0) == pytest.approx(1.0)
 
 
 def test_dispatch_increasing():
@@ -294,12 +278,25 @@ def test_verify_power_pair_bound_genuinely_fails():
     assert report.margin < 0.0
 
 
+def test_verify_linear_pair_counterexample_closed_form():
+    # f = g = 2x is linear, so (1,1)-convex, yet the paper's bound fails for
+    # it.  S(4x^2) on [0,1] solves 4x^2 = 1 - x at the level-set boundary x:
+    # (9 - sqrt(17))/8.  Each factor length is 1 - beta/2, so F(beta) = beta
+    # gives beta = 4 - 2*sqrt(3), below the integral.
+    report = verify_hadamard(parse("2*x"), parse("2*x"), Interval(0.0, 1.0), SMParams(1.0, 1.0))
+    assert report.integral.grid_points is None
+    assert report.integral.value == pytest.approx((9.0 - math.sqrt(17.0)) / 8.0, abs=1e-11)
+    assert report.hadamard.beta == pytest.approx(4.0 - 2.0 * math.sqrt(3.0), abs=1e-9)
+    assert not report.holds
+    assert report.margin < 0.0
+
+
 def test_verify_json_field_names_and_order():
     report = verify_hadamard(parse("x^2"), parse("2*x"), Interval(1.0, 4.0),
                              SMParams(1.0, 1.0))
     d = json.loads(emit_report(report, "json"))
     assert list(d.keys()) == ["integral", "beta", "bound", "kirmaci", "case",
-                              "holds", "margin", "literal_mode", "residual"]
+                              "holds", "margin", "residual"]
     assert d["case"] == "increasing"
     assert (d["integral"], d["beta"], d["margin"]) == \
         (report.integral.value, report.hadamard.beta, report.margin)

@@ -19,6 +19,11 @@ from sugeno_bounds.measure import Interval
 from sugeno_bounds.sugeno import MAX_GRID, IntegralResult, sugeno_integral
 
 
+def _src_env() -> dict:
+    """The environment with the package's source on PYTHONPATH, for child interpreters."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def _run(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
@@ -38,7 +43,7 @@ def test_integrate_json_single_object(capsys):
     obj = json.loads(out)
     assert isinstance(obj, dict)
     assert obj["value"] == pytest.approx(2.438447187, abs=1e-6)
-    assert obj["method"] == "fixed_point"
+    assert list(obj) == ["value", "residual", "alpha_lo", "alpha_hi", "grid_points"]
 
 
 def test_integrate_with_distortion(capsys):
@@ -54,7 +59,7 @@ def test_bound_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["case"] == "increasing"
-    assert obj["literal_mode"] is True
+    assert list(obj) == ["beta", "residual", "bound", "case"]
 
 
 def test_verify_json_fields(capsys):
@@ -63,8 +68,17 @@ def test_verify_json_fields(capsys):
     assert code == 0
     obj = json.loads(out)
     assert list(obj.keys()) == ["integral", "beta", "bound", "kirmaci", "case",
-                                "holds", "margin", "literal_mode", "residual"]
+                                "holds", "margin", "residual"]
     assert obj["holds"] is True
+
+
+@pytest.mark.parametrize("command, flag", [("bound", "--no-literal"), ("verify", "--literal")])
+def test_removed_literal_options_exit_two(capsys, command, flag):
+    code = run([command, "--f", "x^2", "--g", "2*x", "--interval", "1,4",
+                "--s", "1", "--m", "1", flag])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: unrecognized arguments: {flag}" in captured.err
 
 
 def test_verify_fail_on_violation_exit_one(capsys):
@@ -240,7 +254,7 @@ def test_convexity_overflowing_gap_is_a_finite_violation(capsys, fmt, f):
 
 
 def test_json_rejects_non_finite_fields():
-    result = IntegralResult(math.inf, "fixed_point", 0.0, (0.0, 0.0))
+    result = IntegralResult(math.inf, 0.0, (0.0, 0.0))
     with pytest.raises(ValueError):
         emit_report(result, "json")
 
@@ -338,9 +352,9 @@ def test_byte_identical_determinism():
     script = ("import sys; from sugeno_bounds.cli import run; "
               "sys.exit(run(sys.argv[1:]))")
     r1 = subprocess.run([sys.executable, "-c", script, *argv],
-                        capture_output=True, check=True)
+                        capture_output=True, check=True, env=_src_env())
     r2 = subprocess.run([sys.executable, "-c", script, *argv],
-                        capture_output=True, check=True)
+                        capture_output=True, check=True, env=_src_env())
     assert r1.stdout == r2.stdout
     assert r1.stdout
 
@@ -353,7 +367,7 @@ def test_console_script_help():
     r = subprocess.run([sys.executable, "-c",
                         f"import sys; from {module} import {func}; sys.exit({func}())",
                         "--help"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=_src_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("usage: sugeno-bounds")
     assert "integrate" in r.stdout
@@ -362,8 +376,7 @@ def test_console_script_help():
 
 def test_module_entry_point():
     # python -m sugeno_bounds.cli runs the same main() as the console script
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _src_env()
     argv = [sys.executable, "-m", "sugeno_bounds.cli", "convexity", "--f", "x^2",
             "--interval", "0,1", "--s", "1", "--m", "1"]
     r = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -382,10 +395,8 @@ def test_module_entry_point():
 ])
 def test_closed_stdout_exits_zero_without_traceback(argv):
     # the reader closes the pipe before the CLI writes, as `| head -1` can
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.Popen([sys.executable, "-m", "sugeno_bounds.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()

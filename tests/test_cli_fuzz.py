@@ -35,8 +35,7 @@ def _interval(draw):
 
 def _pair_args(draw):
     return ["--f", draw(_exprs), "--g", draw(_exprs), "--interval", draw(_interval()),
-            "--s", repr(draw(_params)), "--m", repr(draw(_params)),
-            draw(st.sampled_from(["--literal", "--no-literal"]))]
+            "--s", repr(draw(_params)), "--m", repr(draw(_params))]
 
 
 @st.composite

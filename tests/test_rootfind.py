@@ -77,7 +77,7 @@ def test_lower_end_violation_raises():
 
 def test_non_monotone_input_warns():
     # The solver trusts G; the bound engine, whose envelope product rises in
-    # the literal decreasing case with m < 1, probes it after the solve.
+    # the decreasing case with m < 1, probes it after the solve.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve_sup_threshold(lambda a: 0.2 + 0.6 * a, 0.0, 1.0)
