@@ -18,10 +18,15 @@ the grammar (parentheses, unary minus, ``^``, call arguments) or in the tree
 it builds (operands of ``+ - * /`` too), so neither parsing nor evaluation
 can hit the recursion limit.  A bare ``x`` is one level deep.
 
-One tree walk evaluates an expression over one of two operator tables:
-``operator``/``math`` functions on a float (:func:`evaluate` raises
-:class:`EvalError` naming the failing operation) or numpy ufuncs on an
-array (:func:`evaluate_array` marks the point NaN).  Both apply one rule:
+One compiler turns an expression, under one of two operator tables, into
+nested closures that run the table's operations in the order a walk of the
+tree would, operands left to right.  The tables are ``operator``/``math``
+functions on a float (:func:`evaluate` raises :class:`EvalError` naming the
+failing operation) and numpy ufuncs on an array (:func:`evaluate_array`
+marks the point NaN).  The float form is compiled once per expression, on
+first use, and kept; the array form is compiled on each call, whose numpy
+work over many points outweighs the compile, so it holds no memory between
+calls.  Both tables apply one rule:
 ``f`` is undefined where any node's value, literals included, is not
 finite, so ``1e400`` is undefined and so is ``1/exp(1000*x)`` at ``x = 1``.
 Only ``/``, ``exp`` and a power can turn a non-finite operand finite
@@ -37,6 +42,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -225,6 +231,14 @@ class FunctionExpr:
     root: Node
     source_text: str
 
+    # compiled on first use; not part of equality, hashing, repr or pickled state
+    @cached_property
+    def _scalar(self):
+        return _compile(self.root, _SCALAR)
+
+    def __getstate__(self):
+        return {"root": self.root, "source_text": self.source_text}
+
 
 def _tree_depth(root: Node) -> int:
     """Nodes on the longest root-to-leaf path, found without recursion."""
@@ -249,21 +263,42 @@ def parse(text: str) -> FunctionExpr:
     return FunctionExpr(root, text)
 
 
-def _walk(node: Node, x, ops: dict):
-    """Value of ``node`` at ``x`` (a float or an array) under the operator table ``ops``."""
-    kind = type(node)  # exact types, most frequent first: this is the hot loop
-    if kind is BinOp:
-        return ops[node.op](_walk(node.left, x, ops), _walk(node.right, x, ops))
+def _compile(node: Node, ops: dict):
+    """``node`` as a callable of ``x`` (a float or an array) under the operator table ``ops``.
+
+    Each node's entry is looked up here, once, and bound into its closure, and
+    a literal operand is bound as its value.  Operands run left to right, so a
+    call runs the same entries on the same values in the same order as a walk
+    of the tree.
+    """
+    kind = type(node)
     if kind is Var:
-        return x
+        return _identity
     if kind is Num:
-        return node.value
+        value = node.value
+        return lambda x: value
     if kind is Neg:
-        return -_walk(node.operand, x, ops)
-    first = _walk(node.args[0], x, ops)
-    if len(node.args) == 1:
-        return ops[node.name](first)
-    return ops[node.name](first, _walk(node.args[1], x, ops))
+        operand = _compile(node.operand, ops)
+        return lambda x: -operand(x)
+    if kind is Call and len(node.args) == 1:
+        op, arg = ops[node.name], _compile(node.args[0], ops)
+        return lambda x: op(arg(x))
+    if kind is BinOp:
+        op, left, right = ops[node.op], node.left, node.right
+    else:
+        op, (left, right) = ops[node.name], node.args
+    if type(right) is Num:
+        b, first = right.value, _compile(left, ops)
+        return lambda x: op(first(x), b)
+    if type(left) is Num:
+        a, second = left.value, _compile(right, ops)
+        return lambda x: op(a, second(x))
+    first, second = _compile(left, ops), _compile(right, ops)
+    return lambda x: op(first(x), second(x))
+
+
+def _identity(x):  # shared by every x leaf, so a leaf costs no closure
+    return x
 
 
 def _divide(a: float, b: float) -> float:
@@ -346,7 +381,7 @@ _ARRAY = {"+": np.add, "-": np.subtract, "*": np.multiply,
 
 def evaluate(f: FunctionExpr, x: float) -> float:
     """Evaluate ``f`` at ``x``; raises :class:`EvalError` where undefined."""
-    out = _walk(f.root, float(x), _SCALAR)
+    out = f._scalar(float(x))
     if not math.isfinite(out):
         raise EvalError("non-finite intermediate value")
     return out
@@ -356,7 +391,7 @@ def evaluate_array(f: FunctionExpr, xs) -> np.ndarray:
     """Vectorized evaluation; points where ``f`` is undefined come back NaN."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        out = _walk(f.root, xs, _ARRAY)
+        out = _compile(f.root, _ARRAY)(xs)
         if out is xs or np.ndim(out) == 0:  # a bare x or a constant: copy, never share
             out = np.array(np.broadcast_to(out, xs.shape), dtype=float)
         finite = np.isfinite(out)

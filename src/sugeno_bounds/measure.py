@@ -48,8 +48,12 @@ class MeasureSpec:
     phi: FunctionExpr  # validated distortion map
 
 
+_LEBESGUE = MeasureSpec(FunctionExpr(Var(), "x"))
+
+
 def lebesgue() -> MeasureSpec:
-    return MeasureSpec(FunctionExpr(Var(), "x"))
+    """Lebesgue measure, the identity distortion; one immutable spec, shared."""
+    return _LEBESGUE
 
 
 def distortion(phi: FunctionExpr, base: Interval) -> MeasureSpec:

@@ -5,6 +5,8 @@
 * ``distribution_profile``: the distribution function F(alpha) of the engine's
   level sets at chosen alphas.
 * ``constant``: the constant function with a finite value.
+* ``_walk``: the value of an expression tree by a walk over it, the oracle
+  for the callables that ``expr`` compiles from a tree.
 * ``evaluate_array_every_operand``: ``evaluate_array`` with both operands of
   every power checked for finiteness, as ``/`` checks its operands.
 * ``check_sm_convex_whole``: the (s,m)-convexity check on the whole grid^3
@@ -35,8 +37,7 @@ from sugeno_bounds.bounds import BetaResult, CaseTag
 from sugeno_bounds.convexity import _CONVEXITY_SLACK, ConvexityVerdict, SMParams, envelope
 from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionError
 from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Neg, Node, Num, Var,
-                                _nan_where_operand_nonfinite, _walk, evaluate,
-                                evaluate_array)
+                                _nan_where_operand_nonfinite, evaluate, evaluate_array)
 from sugeno_bounds.measure import Interval, MeasureSpec, lebesgue, measure_of
 from sugeno_bounds.rootfind import SolverConfig, solve_sup_threshold
 from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_EXCLUDED_FRACTION, _LevelSets, sugeno_integral
@@ -105,6 +106,23 @@ def constant(value: float) -> FunctionExpr:
     if not math.isfinite(v):
         raise ValueError("constant must be finite")
     return FunctionExpr(Num(v), repr(v))
+
+
+def _walk(node: Node, x, ops: dict):
+    """Value of ``node`` at ``x`` (a float or an array) under the operator table ``ops``."""
+    kind = type(node)  # exact types, most frequent first
+    if kind is BinOp:
+        return ops[node.op](_walk(node.left, x, ops), _walk(node.right, x, ops))
+    if kind is Var:
+        return x
+    if kind is Num:
+        return node.value
+    if kind is Neg:
+        return -_walk(node.operand, x, ops)
+    first = _walk(node.args[0], x, ops)
+    if len(node.args) == 1:
+        return ops[node.name](first)
+    return ops[node.name](first, _walk(node.args[1], x, ops))
 
 
 _EVERY_OPERAND = {**_ARRAY, "^": _nan_where_operand_nonfinite(np.power),

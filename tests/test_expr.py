@@ -5,7 +5,10 @@ so any change to parsing precedence or evaluation order shows up as a
 relative error, not a silent drift.
 """
 
+import copy
 import math
+import pickle
+import struct
 
 import mpmath
 import numpy as np
@@ -13,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import constant, evaluate_array_every_operand, to_text
+from reference import _EVERY_OPERAND, _walk, constant, evaluate_array_every_operand, to_text
 from sugeno_bounds.exceptions import EvalError, ParseError
 from sugeno_bounds.expr import (
+    _ARRAY,
+    _SCALAR,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -23,6 +28,7 @@ from sugeno_bounds.expr import (
     Neg,
     Num,
     Var,
+    _compile,
     evaluate,
     evaluate_array,
     parse,
@@ -326,6 +332,7 @@ def _wide_trees(depth):
         _wide_leaf,
         st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
         st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(["sqrt", "exp", "ln"]), sub),
+        st.builds(Neg, sub),
     )
 
 
@@ -363,6 +370,9 @@ def test_non_finite_anywhere_is_undefined(source, x):
     ("x^400", 10.0, "overflow in a power"),
     ("1/(x*1e308)", 10.0, "non-finite operand of /"),
     ("x*1e308", 10.0, "non-finite intermediate value"),
+    # both operands fail: the left one runs first
+    ("ln(0-x)/sqrt(0-x)", 1.0, "ln of a non-positive value"),
+    ("sqrt(0-x)+ln(0-x)", 1.0, "square root of a negative value"),
 ])
 def test_eval_error_names_the_operation(source, x, message):
     with pytest.raises(EvalError, match=message):
@@ -415,3 +425,36 @@ def test_array_power_matches_every_operand_checks(xs, base, exponent, call, wrap
 def test_array_power_of_no_points():
     out = evaluate_array(parse("x^0.5"), [])
     assert out.shape == (0,) and out.dtype == float
+
+
+def _scalar_outcome(run):
+    # the float's bits, or the message of the EvalError raised
+    try:
+        return struct.pack("<d", run())
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_wide_trees(4), x=st.floats(min_value=-1e3, max_value=1e3),
+       xs=st.lists(st.one_of(st.sampled_from(_POINTS), st.floats(-1e3, 1e3)), max_size=16))
+def test_compiled_matches_the_walk_oracle(tree, x, xs):
+    assert _scalar_outcome(lambda: _compile(tree, _SCALAR)(x)) == \
+        _scalar_outcome(lambda: _walk(tree, x, _SCALAR))
+    xs = np.array(xs, dtype=float)
+    for table in (_ARRAY, _EVERY_OPERAND):
+        with np.errstate(all="ignore"):
+            got, want = _compile(tree, table)(xs), _walk(tree, xs, table)
+        assert np.broadcast_to(got, xs.shape).tobytes() == np.broadcast_to(want, xs.shape).tobytes()
+
+
+def test_evaluated_expression_pickles_and_copies():
+    text = "sqrt(x)*exp(0-x)+pow(x, 2.5)/(1+x)"
+    f = parse(text)
+    xs = np.linspace(0.0, 3.0, 7)
+    value, values = evaluate(f, 0.7), evaluate_array(f, xs)  # compiles both tables
+    fresh = parse(text)
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert copied == fresh and hash(copied) == hash(fresh) and repr(copied) == repr(fresh)
+        assert struct.pack("<d", evaluate(copied, 0.7)) == struct.pack("<d", value)
+        assert evaluate_array(copied, xs).tobytes() == values.tobytes()
