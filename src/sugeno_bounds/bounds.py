@@ -169,9 +169,10 @@ def endpoint_bound(
     F = envelope_distribution(e, base, p)
     w = base.b - p.m * base.a
     hi = max(w * w, base.length)
-    res = solve_sup_threshold(F, 0.0, hi, cfg)
+    beta, _ = solve_sup_threshold(F, 0.0, hi, cfg)
+    residual = abs(F(beta) - beta)
     _warn_if_rising(F, 0.0, hi)
-    return BetaResult(res.value, res.residual, min(res.value, base.length), tag)
+    return BetaResult(beta, residual, min(beta, base.length), tag)
 
 
 def hadamard_bound(

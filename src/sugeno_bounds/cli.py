@@ -22,7 +22,8 @@ endpoint case, negative function value (``bound`` checks the endpoint
 values of f and g), domain violation (a bound threshold that overflows),
 evaluation failure, or a solver bracket that is not finite or does not
 enclose a solution.  A reader that closes stdout early (``| head -1``) gets
-exit code 0 and no traceback.
+exit code 0 and no traceback.  Each warning goes to stderr as one
+``warning: <message>`` line, like the ``error: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .bounds import (
@@ -54,8 +56,8 @@ from .exceptions import (
     ParseError,
     UnsupportedCaseError,
 )
-from .expr import parse, product
-from .measure import Interval, MeasureSpec, distortion, lebesgue
+from .expr import FunctionExpr, parse, product
+from .measure import Interval, distortion, lebesgue
 from .rootfind import SolverConfig
 from .sugeno import DEFAULT_GRID, MAX_GRID, IntegralResult, sugeno_integral
 
@@ -285,7 +287,7 @@ def _parse_interval(text: str) -> Interval:
     return Interval(a, b)
 
 
-def _parse_measure(text: str, base: Interval) -> MeasureSpec:
+def _parse_measure(text: str, base: Interval) -> FunctionExpr:
     if text.strip().lower() == "lebesgue":
         return lebesgue()
     return distortion(parse(text), base)
@@ -343,8 +345,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     base = _parse_interval(args.interval)
     f = parse(args.f_text)
     if args.command == "integrate":
-        spec = _parse_measure(args.measure, base)
-        report = sugeno_integral(f, base, spec, SolverConfig(tol=args.tol), args.grid)
+        phi = _parse_measure(args.measure, base)
+        report = sugeno_integral(f, base, phi, SolverConfig(tol=args.tol), args.grid)
     elif args.command == "convexity":
         report = check_sm_convex(f, base, SMParams(args.s, args.m), args.grid)
     else:
@@ -378,7 +380,9 @@ def run(argv=None) -> int:
 
 def main() -> None:
     try:
-        code = run(sys.argv[1:])
+        with warnings.catch_warnings():  # puts the usual display back on exit
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            code = run(sys.argv[1:])
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
     except BrokenPipeError:  # the reader chose to stop; the exit flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

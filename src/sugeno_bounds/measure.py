@@ -1,10 +1,10 @@
 """Intervals and the fuzzy measures of their subintervals.
 
 A measure on subsets of [0, inf) is a distortion ``phi(length)`` for a
-non-decreasing ``phi`` with ``phi(0) = 0``; Lebesgue measure is the identity
-distortion phi(t) = t.  A distortion map is an ordinary expression in ``x``,
-where ``x`` stands for the length argument; it is validated on a 1001-point
-grid when the measure is constructed.
+non-decreasing ``phi`` with ``phi(0) = 0``, and it is passed around as that
+``phi``: an ordinary expression in ``x``, where ``x`` stands for the length
+argument.  ``lebesgue()`` is the identity ``x``; ``distortion`` validates a
+``phi`` on a 1001-point grid over the base interval's lengths and returns it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, InvalidDistortionError
-from .expr import FunctionExpr, Var, evaluate, evaluate_array
+from .expr import FunctionExpr, Var, evaluate_array
 
-__all__ = ["Interval", "MeasureSpec", "lebesgue", "distortion", "measure_of"]
+__all__ = ["Interval", "lebesgue", "distortion"]
 
 _PHI_GRID = 1001
 _PHI_SLACK = 1e-12
@@ -43,21 +43,16 @@ class Interval:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    phi: FunctionExpr  # validated distortion map
+_LEBESGUE = FunctionExpr(Var(), "x")
 
 
-_LEBESGUE = MeasureSpec(FunctionExpr(Var(), "x"))
-
-
-def lebesgue() -> MeasureSpec:
-    """Lebesgue measure, the identity distortion; one immutable spec, shared."""
+def lebesgue() -> FunctionExpr:
+    """Lebesgue measure, the identity distortion ``x``; one expression, shared."""
     return _LEBESGUE
 
 
-def distortion(phi: FunctionExpr, base: Interval) -> MeasureSpec:
-    """Distortion measure ``phi(length)``, validated on [0, length of base]."""
+def distortion(phi: FunctionExpr, base: Interval) -> FunctionExpr:
+    """Distortion measure ``phi(length)``: ``phi`` once it is validated on [0, length of base]."""
     ts = np.linspace(0.0, base.length, _PHI_GRID)
     vals = evaluate_array(phi, ts)
     finite = np.isfinite(vals)
@@ -73,9 +68,4 @@ def distortion(phi: FunctionExpr, base: Interval) -> MeasureSpec:
         raise InvalidDistortionError(
             f"distortion map decreases between lengths {float(ts[i])!r} and {float(ts[i + 1])!r}"
         )
-    return MeasureSpec(phi)
-
-
-def measure_of(spec: MeasureSpec, subset: Interval) -> float:
-    """Measure of an interval: phi of its length."""
-    return evaluate(spec.phi, subset.length)
+    return phi

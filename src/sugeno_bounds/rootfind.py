@@ -1,18 +1,16 @@
 """Bisection solvers used by the integral and bound engines.
 
-``solve_sup_threshold`` computes sup{alpha : G(alpha) >= alpha} for a
-non-increasing G by bisecting on the predicate G(alpha) >= alpha.  This is
-robust to jump discontinuities in G, where a plain root finder on
-G(alpha) - alpha would fail.  A step needs only the side of alpha that
-G(alpha) lies on, so G may answer it with a bound on that side, as the
-integral's level sets do when the crossing's grid cell settles the step.
-The residual |G(alpha_lo) - alpha_lo| is therefore taken once, after the
-bisection, from the exact G at the returned alpha_lo.  ``solve_sign_change``
-is ordinary bisection for continuous sign changes.  Both are entry points
-over one halving loop, ``_halve``, which also refines the integral's
-level-set crossings directly, because the grid already gives the sign at
-each end of the crossing cell; nothing in the package calls
-``solve_sign_change`` itself.
+``solve_sup_threshold`` brackets sup{alpha : G(alpha) >= alpha} for a
+non-increasing G by bisecting on the predicate G(alpha) >= alpha, and returns
+the bracket (alpha_lo, alpha_hi).  This is robust to jump discontinuities in
+G, where a plain root finder on G(alpha) - alpha would fail.  A step needs
+only the side of alpha that G(alpha) lies on, so G may answer it with a bound
+on that side, as the integral's level sets do when the crossing's grid cell
+settles the step.  ``solve_sign_change`` is ordinary bisection for continuous
+sign changes.  Both are entry points over one halving loop, ``_halve``, which
+also refines the integral's level-set crossings directly, because the grid
+already gives the sign at each end of the crossing cell; nothing in the
+package calls ``solve_sign_change`` itself.
 Neither probes G for monotonicity: the integral's G is non-increasing by
 construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
 """
@@ -27,7 +25,6 @@ from .exceptions import BracketError
 
 __all__ = [
     "SolverConfig",
-    "FixedPointResult",
     "solve_sup_threshold",
     "solve_sign_change",
 ]
@@ -42,13 +39,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    value: float
-    residual: float
-    bracket: tuple[float, float]
 
 
 def _halve(
@@ -79,29 +69,24 @@ def solve_sup_threshold(
     lo: float,
     hi: float,
     cfg: SolverConfig = SolverConfig(),
-    exact: Callable[[float], float] | None = None,
-) -> FixedPointResult:
-    """sup{alpha in [lo, hi] : G(alpha) >= alpha} for non-increasing G.
+) -> tuple[float, float]:
+    """Bracket (alpha_lo, alpha_hi) of sup{alpha in [lo, hi] : G(alpha) >= alpha}, G non-increasing.
 
-    G may answer a step with a bound on the same side of alpha as the exact
-    value, equal to alpha only where that value is; ``exact``, the exact
-    function (G itself when not given), then gives the residual at the
-    returned alpha.  Raises :class:`BracketError` if the bracket is not
-    finite or the predicate fails already at ``lo``.  If the predicate holds
-    at ``hi`` the supremum is ``hi`` itself.  An exact tie G(alpha) == alpha
-    found along the way is returned immediately.
+    The predicate holds at alpha_lo.  G may answer a step with a bound on the
+    same side of alpha as the exact value, equal to alpha only where that
+    value is.  Raises :class:`BracketError` if the bracket is not finite or
+    the predicate fails already at ``lo``.  If the predicate holds at ``hi``
+    the bracket is (hi, hi).  An exact tie G(alpha) == alpha found along the
+    way is returned immediately as (alpha, alpha).
     """
-    exact = G if exact is None else exact
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise BracketError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     g_lo = G(lo)
     if g_lo < lo:
         raise BracketError(f"G(lo)={g_lo!r} < lo={lo!r}: predicate fails at the left end")
     if G(hi) >= hi:
-        a = b = hi
-    else:
-        a, b = _halve(lambda t: G(t) - t, lo, hi, True, cfg.tol)
-    return FixedPointResult(a, abs(exact(a) - a), (a, b))
+        return hi, hi
+    return _halve(lambda t: G(t) - t, lo, hi, True, cfg.tol)
 
 
 def solve_sign_change(

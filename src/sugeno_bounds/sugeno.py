@@ -4,10 +4,12 @@ The Sugeno integral over a base interval X is
 
     sup over alpha >= 0 of min(alpha, F(alpha)),   F(alpha) = mu({x in X : f(x) >= alpha}),
 
-and F is non-increasing by construction, so the sup is the threshold where F
-crosses the diagonal.  It is computed by bisecting on the predicate
-F(alpha) >= alpha, and F is not probed for monotonicity (only the bound
-engine, whose envelope product can rise, probes its F).
+where mu is phi of Lebesgue length, passed as the distortion expression
+``phi`` (``measure.lebesgue()`` is ``x``).  F is non-increasing by
+construction, so the sup is the threshold where F crosses the diagonal.  It
+is computed by bisecting on the predicate F(alpha) >= alpha, and F is not
+probed for monotonicity (only the bound engine, whose envelope product can
+rise, probes its F).
 
 The integrand is sampled on an x grid, evaluated in fixed-size chunks.  No
 x array is kept: a grid point's coordinate is recomputed the way
@@ -24,9 +26,9 @@ The threshold solve needs only whether F(alpha) >= alpha, and the refined
 boundary lies inside the crossing cell, so phi of the level lengths at the
 cell's two ends bounds F(alpha).  A step where alpha lies outside those
 bounds by more than 1e-12 * max(1, alpha) is settled without evaluating f;
-only the other steps, and the residual at the returned alpha, refine.  The
-margin is not needed under Lebesgue measure, where F is the length itself,
-but a float phi such as x/(1+x) can fall by a few ulps where it should rise.
+only the other steps refine.  The margin is not needed under Lebesgue
+measure, where F is the length itself, but a float phi such as x/(1+x) can
+fall by a few ulps where it should rise.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -45,7 +47,7 @@ import numpy as np
 
 from .exceptions import EvalError, NegativeFunctionError
 from .expr import FunctionExpr, evaluate, evaluate_array
-from .measure import Interval, MeasureSpec, lebesgue, measure_of
+from .measure import Interval, lebesgue
 from .rootfind import SolverConfig, _halve, solve_sup_threshold
 
 __all__ = [
@@ -75,12 +77,12 @@ class IntegralResult:
 class _LevelSets:
     """Shared grid state answering level-set measure queries for one integrand."""
 
-    def __init__(self, f: FunctionExpr, base: Interval, spec: MeasureSpec, grid: int):
+    def __init__(self, f: FunctionExpr, base: Interval, phi: FunctionExpr, grid: int):
         if not _MIN_GRID <= grid <= MAX_GRID:
             raise ValueError(f"grid must be between {_MIN_GRID} and {MAX_GRID} points, got {grid}")
         self.f = f
         self.base = base
-        self.spec = spec
+        self.phi = phi
         self.grid = grid
         self._step = base.length / (grid - 1)
         self.vals = np.empty(grid)
@@ -175,40 +177,42 @@ class _LevelSets:
         return (low_open and vals[0] >= alpha) or (high_open and vals[-1] < alpha)
 
     def measure(self, alpha: float) -> float:
-        return evaluate(self.spec.phi, self.level_length(alpha))
+        return evaluate(self.phi, self.level_length(alpha))
 
     def threshold_step(self, alpha: float) -> float:
         """F(alpha), or phi at an end of the crossing cell where the ends settle F(alpha) >= alpha."""
         if not self.exact_boundaries:
             return self.measure(alpha)
         lo, hi = self._cell(alpha)
-        low, high = sorted(evaluate(self.spec.phi, abs(self._end - x)) for x in (lo, hi))
+        low, high = sorted(evaluate(self.phi, abs(self._end - x)) for x in (lo, hi))
         margin = _SETTLE_MARGIN * max(1.0, abs(alpha))
         if low - margin <= alpha <= high + margin:
-            return evaluate(self.spec.phi, self._refined_length(alpha, lo, hi))
+            return evaluate(self.phi, self._refined_length(alpha, lo, hi))
         return low  # the refined boundary lies in [lo, hi], so F(alpha) is on low's side of alpha
 
 
 def sugeno_integral(
     f: FunctionExpr,
     base: Interval,
-    spec: MeasureSpec | None = None,
+    phi: FunctionExpr | None = None,
     cfg: SolverConfig | None = None,
     grid: int = DEFAULT_GRID,
 ) -> IntegralResult:
-    """Sugeno integral of a non-negative ``f`` over ``base`` by fixed point."""
-    spec = lebesgue() if spec is None else spec
+    """Sugeno integral of a non-negative ``f`` over ``base`` under the distortion ``phi``."""
+    phi = lebesgue() if phi is None else phi
     cfg = SolverConfig() if cfg is None else cfg
-    levels = _LevelSets(f, base, spec, grid)
-    mu_total = measure_of(spec, base)
+    levels = _LevelSets(f, base, phi, grid)
+    mu_total = evaluate(phi, base.length)
     if mu_total <= 0.0:
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         grid_points = None if levels.exact_boundaries else grid
         return IntegralResult(0.0, abs(mu_total), (0.0, 0.0), grid_points)
-    res = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg, levels.measure)
-    if levels.exact_boundaries and any(map(levels.unresolved, res.bracket)):
+    lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg)
+    residual = abs(levels.measure(lo) - lo)
+    if levels.exact_boundaries and (levels.unresolved(lo) or levels.unresolved(hi)):
         levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
-        res = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg, levels.measure)
+        lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg)
+        residual = abs(levels.measure(lo) - lo)
     grid_points = None if levels.exact_boundaries else grid
-    return IntegralResult(res.value, res.residual, res.bracket, grid_points)
+    return IntegralResult(lo, residual, (lo, hi), grid_points)
 

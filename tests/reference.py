@@ -38,7 +38,7 @@ from sugeno_bounds.convexity import _CONVEXITY_SLACK, ConvexityVerdict, SMParams
 from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionError
 from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Neg, Node, Num, Var,
                                 _nan_where_operand_nonfinite, evaluate, evaluate_array)
-from sugeno_bounds.measure import Interval, MeasureSpec, lebesgue, measure_of
+from sugeno_bounds.measure import Interval, lebesgue
 from sugeno_bounds.rootfind import SolverConfig, solve_sup_threshold
 from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_EXCLUDED_FRACTION, _LevelSets, sugeno_integral
 
@@ -55,12 +55,12 @@ N_CHAINS = 10
 def sugeno_integral_oracle(
     f: FunctionExpr,
     base: Interval,
-    spec: MeasureSpec | None = None,
+    phi: FunctionExpr | None = None,
     n_alpha: int = DEFAULT_GRID,
     grid: int = DEFAULT_GRID,
 ) -> float:
     """Brute-force sup-min over an alpha lattice; independent of the bisection route."""
-    spec = lebesgue() if spec is None else spec
+    phi = lebesgue() if phi is None else phi
     if n_alpha < 1000:
         raise ValueError("n_alpha must be at least 1000")
     if grid < ORACLE_MIN_GRID:
@@ -76,28 +76,28 @@ def sugeno_integral_oracle(
         raise NegativeFunctionError(float(xs[i_min]), float(vals[i_min]))
 
     sorted_vals = np.sort(vals[~bad])
-    mu_total = measure_of(spec, base)
+    mu_total = evaluate(phi, base.length)
     alphas = np.linspace(0.0, mu_total, n_alpha)
     counts = sorted_vals.size - np.searchsorted(sorted_vals, alphas, side="left")
     lengths = (counts / grid) * base.length
-    return float(np.max(np.minimum(alphas, evaluate_array(spec.phi, lengths))))
+    return float(np.max(np.minimum(alphas, evaluate_array(phi, lengths))))
 
 
 def distribution_profile(
     f: FunctionExpr,
     base: Interval,
-    spec: MeasureSpec | None = None,
+    phi: FunctionExpr | None = None,
     alphas=(),
     grid: int = DEFAULT_GRID,
 ) -> tuple[tuple[float, float], ...]:
     """(alpha, F(alpha)) pairs of the distribution function at the given increasing alphas."""
-    spec = lebesgue() if spec is None else spec
+    phi = lebesgue() if phi is None else phi
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be non-empty")
     if any(nxt <= cur for cur, nxt in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    levels = _LevelSets(f, base, spec, grid)
+    levels = _LevelSets(f, base, phi, grid)
     return tuple((a, levels.measure(a)) for a in alphas)
 
 
@@ -172,8 +172,8 @@ def _clamp01(q: float) -> float:
 
 
 def _solve_convex(F, w: float, case: CaseTag, cfg: SolverConfig | None) -> BetaResult:
-    res = solve_sup_threshold(F, 0.0, max(w * w, w), SolverConfig() if cfg is None else cfg)
-    return BetaResult(res.value, res.residual, min(res.value, w), case)
+    beta, _ = solve_sup_threshold(F, 0.0, max(w * w, w), SolverConfig() if cfg is None else cfg)
+    return BetaResult(beta, abs(F(beta) - beta), min(beta, w), case)
 
 
 def increasing_beta_convex(e, base: Interval, cfg: SolverConfig | None = None) -> BetaResult:
@@ -313,7 +313,7 @@ def check_proposition_properties(
     g: FunctionExpr,
     k: float,
     base: Interval,
-    spec: MeasureSpec | None = None,
+    phi: FunctionExpr | None = None,
     cfg: SolverConfig | None = None,
     grid: int = 10001,
     tol: float = PROPERTY_TOL,
@@ -323,11 +323,11 @@ def check_proposition_properties(
     Raises :class:`PreconditionError` with a witness point when f <= g fails
     on the grid.
     """
-    spec = lebesgue() if spec is None else spec
+    phi = lebesgue() if phi is None else phi
     if k < 0.0:
         raise ValueError("k must be non-negative")
-    v_f = sugeno_integral(f, base, spec, cfg, grid).value
-    v_g = sugeno_integral(g, base, spec, cfg, grid).value
+    v_f = sugeno_integral(f, base, phi, cfg, grid).value
+    v_g = sugeno_integral(g, base, phi, cfg, grid).value
 
     xs = np.linspace(base.a, base.b, grid)
     f_vals, g_vals = evaluate_array(f, xs), evaluate_array(g, xs)
@@ -340,8 +340,8 @@ def check_proposition_properties(
             witness=x_bad,
         )
 
-    mu_total = measure_of(spec, base)
-    v_k = sugeno_integral(constant(k), base, spec, cfg, grid).value
+    mu_total = evaluate(phi, base.length)
+    v_k = sugeno_integral(constant(k), base, phi, cfg, grid).value
     bounded = v_f <= mu_total + tol and v_g <= mu_total + tol
     const_ok = abs(v_k - min(k, mu_total)) <= tol
     mono = v_f <= v_g + tol
@@ -358,7 +358,7 @@ def check_proposition_properties(
         above = [a6 + (v_f - a6) * j / GAMMA_PROBES for j in range(1, GAMMA_PROBES + 1)]
     a7 = v_f + delta
     below = [v_f + delta * j / GAMMA_PROBES for j in range(GAMMA_PROBES)]
-    F = dict(distribution_profile(f, base, spec, sorted({a4, a5, *above, *below}), grid))
+    F = dict(distribution_profile(f, base, phi, sorted({a4, a5, *above, *below}), grid))
 
     return PropertyReport(
         bounded_by_measure=bounded,
@@ -395,9 +395,9 @@ class IntervalUnion:
         return float(sum(p.length for p in self.parts))
 
 
-def union_measure(spec: MeasureSpec, union: IntervalUnion) -> float:
+def union_measure(phi: FunctionExpr, union: IntervalUnion) -> float:
     """Measure of a finite interval union: phi of its total length."""
-    return evaluate(spec.phi, union.total_length)
+    return evaluate(phi, union.total_length)
 
 
 @dataclass(frozen=True)
@@ -455,7 +455,7 @@ def _random_inner_interval(rng: random.Random, base: Interval) -> Interval:
 
 
 def verify_fuzzy_measure_axioms(
-    spec: MeasureSpec,
+    phi: FunctionExpr,
     base: Interval,
     n_samples: int,
     seed: int = 0,
@@ -469,13 +469,13 @@ def verify_fuzzy_measure_axioms(
         raise ValueError("n_samples must be at least 2")
     rng = random.Random(seed)
 
-    empty_ok = union_measure(spec, IntervalUnion()) == 0.0
+    empty_ok = union_measure(phi, IntervalUnion()) == 0.0
 
     worst_monotone = -math.inf
     for _ in range(n_samples):
         bigger = _random_union(rng, base)
         smaller = _shrunk_copy(rng, bigger)
-        gap = union_measure(spec, smaller) - union_measure(spec, bigger)
+        gap = union_measure(phi, smaller) - union_measure(phi, bigger)
         worst_monotone = max(worst_monotone, gap)
     monotone_ok = worst_monotone <= MONOTONE_SLACK
 
@@ -487,13 +487,13 @@ def verify_fuzzy_measure_axioms(
     above_ok = True
     for _ in range(N_CHAINS):
         limit = _random_inner_interval(rng, base)
-        mu_limit = measure_of(spec, limit)
+        mu_limit = evaluate(phi, limit.length)
 
         prev = -math.inf
         mu_last = prev
         for k in range(1, n_samples + 1):
             cut = limit.length * shrink**k
-            mu_last = measure_of(spec, Interval(limit.a, limit.b - cut))
+            mu_last = evaluate(phi, Interval(limit.a, limit.b - cut).length)
             if mu_last < prev - MONOTONE_SLACK:
                 below_ok = False
             prev = mu_last
@@ -506,7 +506,7 @@ def verify_fuzzy_measure_axioms(
         prev = math.inf
         for k in range(1, n_samples + 1):
             pad = pad0 * shrink**k
-            mu_last = measure_of(spec, Interval(limit.a - pad, limit.b + pad))
+            mu_last = evaluate(phi, Interval(limit.a - pad, limit.b + pad).length)
             if mu_last > prev + MONOTONE_SLACK:
                 above_ok = False
             prev = mu_last

@@ -270,11 +270,11 @@ def test_criterion7_convex_specialization_agreement():
 @criterion("C8", limit=5.0)
 def test_criterion8_measure_axioms():
     base = Interval(0.0, 2.0)
-    specs = [lebesgue(),
-             distortion(parse("x^2"), base),
-             distortion(parse("sqrt(x)"), base)]
-    results = [verify_fuzzy_measure_axioms(spec, base, n_samples=1000, seed=11)
-               for spec in specs]
+    phis = [lebesgue(),
+            distortion(parse("x^2"), base),
+            distortion(parse("sqrt(x)"), base)]
+    results = [verify_fuzzy_measure_axioms(phi, base, n_samples=1000, seed=11)
+               for phi in phis]
     ok = all(r.all_pass for r in results)
     return ok, ("lebesgue, x^2 and sqrt distortions all satisfy the axioms "
                 f"({results[0].pairs_checked} pairs each)")

@@ -200,6 +200,7 @@ def test_residual_certificate_both_sides():
     box = Interval(1.0, 4.0)
     res = endpoint_bound(e, box, SMParams(1.0, 1.0), TIGHT)
     F = envelope_distribution(e, box, SMParams(1.0, 1.0))
+    assert res.residual == abs(F(res.beta) - res.beta)
     eps = 1e-9
     assert F(res.beta - eps) >= res.beta - eps
     assert F(res.beta + eps) < res.beta + eps

@@ -8,11 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from sugeno_bounds.cli import emit_report, reproduce, run
+from sugeno_bounds.cli import emit_report, main, reproduce, run
 from sugeno_bounds.convexity import SMParams, envelope
 from sugeno_bounds.expr import product
 from sugeno_bounds.measure import Interval
@@ -51,6 +52,20 @@ def test_integrate_with_distortion(capsys):
                      "--measure", "sqrt(x)", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.5248886, abs=1e-5)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("f_text", ["x^2", "abs(x-0.5)", "1/x"])  # exact, counted, excluded end
+def test_identity_distortion_matches_lebesgue(capsys, f_text, fmt):
+    outs = []
+    for measure in ("lebesgue", "x"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 1/x excludes its end point at 0
+            code, out = _run(capsys, "integrate", "--f", f_text, "--interval", "0,1",
+                             "--measure", measure, "--format", fmt)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_bound_json(capsys):
@@ -403,3 +418,32 @@ def test_closed_stdout_exits_zero_without_traceback(argv):
     assert proc.wait(timeout=60) == 0, err
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+_ONE_EXCLUDED = ["integrate", "--f", "1/x", "--interval", "0,1"]
+_ONE_EXCLUDED_OUT = "value        1\nresidual     0\nalpha_lo     1\nalpha_hi     1\ngrid_points  -\n"
+
+
+def test_cli_prints_each_warning_on_one_line():
+    # a source location and an echo of the source line would move with any edit to cli.py
+    r = subprocess.run([sys.executable, "-m", "sugeno_bounds.cli", *_ONE_EXCLUDED],
+                       capture_output=True, text=True, env=_src_env())
+    assert r.returncode == 0
+    assert r.stderr == "warning: excluded 1 non-evaluable grid point(s) from level sets\n"
+    assert r.stdout == _ONE_EXCLUDED_OUT
+
+
+def test_warning_lines_stay_inside_main(capsys, monkeypatch):
+    show = warnings.showwarning
+    monkeypatch.setattr(sys, "argv", ["sugeno-bounds", *_ONE_EXCLUDED])
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert warnings.showwarning is show
+        with pytest.warns(RuntimeWarning, match="excluded 1 "):  # library callers warn as usual
+            assert run(_ONE_EXCLUDED) == 0
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == _ONE_EXCLUDED_OUT * 2
+    assert captured.err == "warning: excluded 1 non-evaluable grid point(s) from level sets\n"

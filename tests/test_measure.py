@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from reference import IntervalUnion, union_measure, verify_fuzzy_measure_axioms
 from sugeno_bounds.exceptions import DomainError, InvalidDistortionError
-from sugeno_bounds.expr import parse
-from sugeno_bounds.measure import Interval, distortion, lebesgue, measure_of
+from sugeno_bounds.expr import evaluate, parse
+from sugeno_bounds.measure import Interval, distortion, lebesgue
 
 
 def test_interval_validation():
@@ -33,11 +33,12 @@ def test_union_validation_and_length():
 
 
 def test_lebesgue_measure_of():
-    spec = lebesgue()
-    assert measure_of(spec, Interval(1.0, 4.0)) == 3.0
-    assert measure_of(spec, Interval(0.3, 1.0)) == pytest.approx(0.7, abs=1e-15)
+    phi = lebesgue()
+    assert phi is lebesgue()  # one shared identity expression
+    assert evaluate(phi, Interval(1.0, 4.0).length) == 3.0
+    assert evaluate(phi, Interval(0.3, 1.0).length) == pytest.approx(0.7, abs=1e-15)
     u = IntervalUnion((Interval(0.0, 1.0), Interval(2.0, 3.0)))
-    assert union_measure(spec, u) == 2.0
+    assert union_measure(phi, u) == 2.0
 
 
 def test_empty_union_measures_zero():
@@ -49,13 +50,15 @@ def test_empty_union_measures_zero():
 
 def test_distortion_measure_of():
     base = Interval(0.0, 1.0)
-    spec = distortion(parse("x^2"), base)
-    assert measure_of(spec, Interval(0.0, 0.5)) == 0.25
-    spec2 = distortion(parse("sqrt(x)"), base)
-    assert measure_of(spec2, Interval(0.0, 0.25)) == 0.5
+    square = parse("x^2")
+    phi = distortion(square, base)
+    assert phi is square  # a validated distortion is its own map
+    assert evaluate(phi, Interval(0.0, 0.5).length) == 0.25
+    phi2 = distortion(parse("sqrt(x)"), base)
+    assert evaluate(phi2, Interval(0.0, 0.25).length) == 0.5
     # square distortion on a wider base: phi(1) = 1
-    spec3 = distortion(parse("x^2"), Interval(0.0, 2.0))
-    assert measure_of(spec3, Interval(0.0, 1.0)) == 1.0
+    phi3 = distortion(parse("x^2"), Interval(0.0, 2.0))
+    assert evaluate(phi3, Interval(0.0, 1.0).length) == 1.0
 
 
 def test_distortion_rejects_nonzero_at_origin():
@@ -76,8 +79,8 @@ def test_distortion_rejects_unevaluable():
 @pytest.mark.parametrize("phi_text", [None, "x^2", "sqrt(x)"])
 def test_axioms_hold(phi_text):
     base = Interval(0.0, 2.0)
-    spec = lebesgue() if phi_text is None else distortion(parse(phi_text), base)
-    report = verify_fuzzy_measure_axioms(spec, base, n_samples=200, seed=7)
+    phi = lebesgue() if phi_text is None else distortion(parse(phi_text), base)
+    report = verify_fuzzy_measure_axioms(phi, base, n_samples=200, seed=7)
     assert report.all_pass, report
     assert report.empty_set_is_zero
     assert report.monotone
@@ -89,15 +92,15 @@ def test_axioms_hold(phi_text):
 @pytest.mark.parametrize("phi_text", [None, "sqrt(x)"])
 def test_axioms_hold_unit_interval(phi_text):
     base = Interval(0.0, 1.0)
-    spec = lebesgue() if phi_text is None else distortion(parse(phi_text), base)
-    assert verify_fuzzy_measure_axioms(spec, base, n_samples=100, seed=1).all_pass
+    phi = lebesgue() if phi_text is None else distortion(parse(phi_text), base)
+    assert verify_fuzzy_measure_axioms(phi, base, n_samples=100, seed=1).all_pass
 
 
 def test_axiom_checker_is_deterministic():
     base = Interval(1.0, 4.0)
-    spec = lebesgue()
-    r1 = verify_fuzzy_measure_axioms(spec, base, n_samples=50, seed=3)
-    r2 = verify_fuzzy_measure_axioms(spec, base, n_samples=50, seed=3)
+    phi = lebesgue()
+    r1 = verify_fuzzy_measure_axioms(phi, base, n_samples=50, seed=3)
+    r2 = verify_fuzzy_measure_axioms(phi, base, n_samples=50, seed=3)
     assert r1 == r2
 
 
@@ -112,6 +115,6 @@ def test_axiom_checker_sample_validation():
        inner=st.floats(min_value=0.05, max_value=0.45))
 def test_nested_intervals_monotone_under_distortion(a, w, inner):
     base = Interval(a, a + w)
-    spec = distortion(parse("x^2"), base)
+    phi = distortion(parse("x^2"), base)
     small = Interval(a + inner * w, a + (1.0 - inner) * w)
-    assert measure_of(spec, small) <= measure_of(spec, base) + 1e-12
+    assert evaluate(phi, small.length) <= evaluate(phi, base.length) + 1e-12

@@ -36,38 +36,38 @@ def _local_sup_threshold(G, lo, hi, iters=200):
 
 
 def test_linear_distribution():
-    res = solve_sup_threshold(lambda a: 1.0 - a, 0.0, 1.0)
-    assert res.value == pytest.approx(0.5, abs=1e-12)
-    assert abs(res.residual) <= 1e-12
+    G = lambda a: 1.0 - a
+    lo, hi = solve_sup_threshold(G, 0.0, 1.0)
+    assert lo <= 0.5 <= hi and hi - lo <= 1e-12
+    assert abs(G(lo) - lo) <= 1e-12
 
 
 def test_quintic_distribution():
     G = lambda a: 1.0 - (4.0 * a) ** 0.2
-    res = solve_sup_threshold(G, 0.0, 1.0)
+    lo, hi = solve_sup_threshold(G, 0.0, 1.0)
     ref = _local_sup_threshold(G, 0.0, 1.0)
-    assert res.value == pytest.approx(ref, abs=1e-9)
-    assert res.value == pytest.approx(0.12686587, abs=1e-6)
+    assert lo == pytest.approx(ref, abs=1e-9)
+    assert lo == pytest.approx(0.12686587, abs=1e-6)
+    assert hi - lo <= 1e-12
 
 
 def test_constant_distribution_jump():
     # G == 0.3 has its sup-threshold exactly at 0.3 (a jump fixed point)
-    res = solve_sup_threshold(lambda a: 0.3, 0.0, 1.0)
-    assert res.value == pytest.approx(0.3, abs=1e-12)
+    lo, hi = solve_sup_threshold(lambda a: 0.3, 0.0, 1.0)
+    assert lo <= 0.3 <= hi and hi - lo <= 1e-12
 
 
 def test_step_distribution_jump():
     # F drops from 1 to 0.2 at alpha=0.6; sup{a : F(a) >= a} = 0.6
     G = lambda a: 1.0 if a < 0.6 else 0.2
-    res = solve_sup_threshold(G, 0.0, 1.0)
-    assert res.value == pytest.approx(0.6, abs=1e-9)
-    # value stays on the satisfied side
-    assert G(res.value) >= res.value or res.value - 0.6 <= 1e-9
+    lo, hi = solve_sup_threshold(G, 0.0, 1.0)
+    assert lo <= 0.6 <= hi and hi - lo <= 1e-12
+    # the lower end stays on the satisfied side, the upper end on the other
+    assert G(lo) >= lo and G(hi) < hi
 
 
 def test_whole_bracket_satisfied():
-    res = solve_sup_threshold(lambda a: 2.0, 0.0, 1.0)
-    assert res.value == 1.0
-    assert res.bracket == (1.0, 1.0)
+    assert solve_sup_threshold(lambda a: 2.0, 0.0, 1.0) == (1.0, 1.0)
 
 
 def test_lower_end_violation_raises():
@@ -87,11 +87,11 @@ def test_non_monotone_input_warns():
 
 
 def test_residual_certificate():
-    # the returned value must satisfy the predicate up to the reported residual
+    # the predicate holds at the bracket's lower end and fails at its upper end
     G = lambda a: (1.0 - a) ** 2
-    res = solve_sup_threshold(G, 0.0, 1.0)
-    assert G(res.value) >= res.value - max(abs(res.residual), 1e-12) - 1e-15
-    assert res.bracket[0] <= res.value <= res.bracket[1]
+    lo, hi = solve_sup_threshold(G, 0.0, 1.0)
+    assert G(lo) >= lo and G(hi) < hi and hi - lo <= 1e-12
+    assert abs(G(lo) - lo) <= 3e-12  # G(a) - a falls with slope about 2.24 here
 
 
 def test_config_validation():
@@ -104,9 +104,9 @@ def test_config_validation():
 
 def test_huge_brackets_solve_to_tol():
     # [0, 1e60] needs about 240 halvings to reach tol=1e-12; there is no step cap
-    res = solve_sup_threshold(lambda a: 1e60 if a <= 1e-5 else 0.0, 0.0, 1e60)
-    assert res.value == pytest.approx(1e-5, abs=1e-12)
-    assert res.bracket[1] - res.bracket[0] <= 1e-12
+    lo, hi = solve_sup_threshold(lambda a: 1e60 if a <= 1e-5 else 0.0, 0.0, 1e60)
+    assert lo == pytest.approx(1e-5, abs=1e-12)
+    assert hi - lo <= 1e-12
     root = solve_sign_change(lambda x: x - 1e-5, 0.0, 1e60)
     assert root == pytest.approx(1e-5, abs=1e-12)
 
@@ -141,5 +141,6 @@ def test_sign_change_no_bracket_raises():
        slope=st.floats(min_value=0.1, max_value=5.0))
 def test_sup_threshold_linear_family(c, slope):
     # G(a) = c - slope*a crosses the diagonal at c/(1+slope)
-    res = solve_sup_threshold(lambda a: c - slope * a, 0.0, 1.0)
-    assert res.value == pytest.approx(c / (1.0 + slope), abs=1e-10)
+    lo, hi = solve_sup_threshold(lambda a: c - slope * a, 0.0, 1.0)
+    assert lo == pytest.approx(c / (1.0 + slope), abs=1e-10)
+    assert lo <= hi <= lo + 1e-12

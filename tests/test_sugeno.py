@@ -50,6 +50,20 @@ def test_quintic_example():
     assert res.grid_points is None  # monotone path refines boundaries exactly
 
 
+@pytest.mark.parametrize("src,base,phi", [
+    ("x^2", Interval(1.0, 4.0), None),           # exact path
+    ("abs(x-0.5)", Interval(0.0, 1.0), None),    # counted on the grid
+    ("x^2", Interval(0.0, 1.0), "sqrt(x)"),      # exact path under a distortion
+])
+def test_residual_is_the_exact_distribution_at_alpha_lo(src, base, phi):
+    measure = None if phi is None else distortion(parse(phi), base)
+    res = sugeno_integral(parse(src), base, measure)
+    lo, hi = res.alpha_bracket
+    assert res.value == lo < hi
+    ((_, F_lo),) = distribution_profile(parse(src), base, measure, alphas=(lo,))
+    assert res.residual == abs(F_lo - lo)
+
+
 def test_square_on_one_four():
     res = sugeno_integral(parse("x^2"), Interval(1.0, 4.0))
     assert res.value == pytest.approx(SQUARE_14, abs=1e-9)
@@ -187,10 +201,10 @@ _COUNTED = [("abs(x-0.5)", None), ("4*x*(1-x)", None), ("exp(-((x-0.4)/0.15)^2)"
 @pytest.mark.parametrize("src,phi", _COUNTED)
 def test_settled_counts_match_counting_every_query(monkeypatch, src, phi, grid):
     box = Interval(0.0, 1.0)
-    spec = None if phi is None else distortion(parse(phi), box)
-    settled = sugeno_integral(parse(src), box, spec, grid=grid)
+    measure = None if phi is None else distortion(parse(phi), box)
+    settled = sugeno_integral(parse(src), box, measure, grid=grid)
     monkeypatch.setattr(sugeno._LevelSets, "_settled_count", sugeno._LevelSets._count)
-    counted = sugeno_integral(parse(src), box, spec, grid=grid)
+    counted = sugeno_integral(parse(src), box, measure, grid=grid)
     assert settled.grid_points == grid
     assert repr(settled) == repr(counted)
 
@@ -300,7 +314,7 @@ def test_unresolved_exclusions_count_on_the_grid(src, exact):
 
 
 def _scalar_calls(monkeypatch, cfg):
-    """Integrand and phi evaluations of the x^2 integral on [1,4]."""
+    """Integrand and phi evaluations of the x^2 integral on [1,4]; phi's include mu(X)."""
     f, calls = parse("x^2"), {"f": 0, "phi": 0}
     evaluate = sugeno.evaluate
 
@@ -319,14 +333,14 @@ def test_monotone_integral_scalar_evaluations(monkeypatch):
     # ends), a step that phi at the crossing cell's ends settles evaluates no
     # f, and the threshold solve does not probe F
     calls = _scalar_calls(monkeypatch, SolverConfig())
-    assert calls["f"] <= 675 and calls["phi"] <= 115, calls
+    assert calls["f"] <= 675 and calls["phi"] <= 116, calls
 
 
 def test_loose_tolerance_settles_every_step(monkeypatch):
     # the solve stops before alpha comes within the crossing cell's bounds on
     # F, so every step is settled and only the residual refines
     calls = _scalar_calls(monkeypatch, SolverConfig(tol=1e-3))
-    assert calls["f"] <= 25 and calls["phi"] <= 29, calls
+    assert calls["f"] <= 25 and calls["phi"] <= 30, calls
 
 
 def _monotone_draws(seed, n):
@@ -367,10 +381,10 @@ def test_settled_steps_match_refining_every_step(monkeypatch, src, base, phi, gr
     # step, so a residual read from phi at the cell's ends would be one
     # cell's length off (0.99998 instead of 1.0000000000003761 at the
     # default grid); the solve must take it from the exact F.
-    spec = None if phi is None else distortion(parse(phi), base)
-    settled = sugeno_integral(parse(src), base, spec, grid=grid)
+    measure = None if phi is None else distortion(parse(phi), base)
+    settled = sugeno_integral(parse(src), base, measure, grid=grid)
     monkeypatch.setattr(sugeno._LevelSets, "threshold_step", sugeno._LevelSets.measure)
-    refined = sugeno_integral(parse(src), base, spec, grid=grid)
+    refined = sugeno_integral(parse(src), base, measure, grid=grid)
     assert settled.grid_points is None
     assert settled == refined
 
@@ -472,6 +486,6 @@ def test_property_report_rejects_negative_constant():
 
 def test_property_report_under_distortion():
     base = Interval(0.0, 1.0)
-    spec = distortion(parse("x^2"), base)
-    report = check_proposition_properties(parse("x^2"), parse("x"), 0.25, base, spec)
+    phi = distortion(parse("x^2"), base)
+    report = check_proposition_properties(parse("x^2"), parse("x"), 0.25, base, phi)
     assert report.all_pass, report
