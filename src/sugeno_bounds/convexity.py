@@ -42,7 +42,7 @@ _CONVEXITY_SLACK = 1e-12
 _SLAB_POINTS = 1 << 14  # lattice points per slab
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SMParams:
     """Exponent s and scale m of the convexity class, both in (0, 1]."""
 
@@ -56,7 +56,7 @@ class SMParams:
             raise DomainError(f"m must lie in (0, 1], got {self.m!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvexityVerdict:
     holds_on_grid: bool
     witness: tuple[float, float, float, float] | None  # (x, y, lam, gap), worst gap
@@ -64,7 +64,7 @@ class ConvexityVerdict:
     skipped: int = 0  # lattice combinations with a non-evaluable point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndpointData:
     """Endpoint values f(a), f(b), g(a), g(b) feeding the bound formulas."""
 

@@ -18,7 +18,14 @@ chunk-sized buffers (0.8 MB at the default grid, 80 MB at the cap).  When
 the sampled values are monotone, the level-set boundary is refined by
 bisection and the level set is an exact interval; otherwise the measure
 falls back to grid counting.  A count is non-increasing in alpha, so an
-alpha between two counted ones with equal counts takes that count unscanned.
+alpha already counted takes its count again, and an alpha between two counted
+ones with equal counts takes that count unscanned.  Where the two counts
+differ by at most grid // 32, only the samples in [alpha_L, alpha_R) can lie
+on either side of alpha: they are extracted once (from the previous narrow
+bracket's samples when that bracket covers this one) and kept, and the count
+is count(alpha_R) plus those samples >= alpha.  The counts are exact, and a
+NaN sample falls in no subset, so this gives what counting the whole grid
+gives; other alphas count the whole grid.
 The crossing cell's ends come from the grid, which already puts one on each
 side of alpha, so they are not evaluated again: the bisection evaluates only
 midpoints, and an EvalError at a midpoint propagates.
@@ -28,7 +35,8 @@ cell's two ends bounds F(alpha).  A step where alpha lies outside those
 bounds by more than 1e-12 * max(1, alpha) is settled without evaluating f;
 only the other steps refine.  The margin is not needed under Lebesgue
 measure, where F is the length itself, but a float phi such as x/(1+x) can
-fall by a few ulps where it should rise.
+fall by a few ulps where it should rise.  Each refined length is kept by
+alpha, so the residual at alpha_lo reuses the step that accepted alpha_lo.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -64,6 +72,7 @@ _MIN_GRID = 101
 _REFINE_TOL = 1e-12
 _SETTLE_MARGIN = 1e-12  # times max(1, alpha); see the module docstring
 _CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
+_NARROW_SHARE = 32  # a bracket of at most grid // 32 samples is counted on them alone
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,6 +128,8 @@ class _LevelSets:
         a_open, b_open = first > 0, stop < grid
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
+        self._kept = (-np.inf, np.inf, self.vals)  # (lo, hi, a superset of the samples in [lo, hi))
+        self._refined = {}  # refined level length by alpha
 
     def x(self, i: int) -> float:
         """Coordinate of grid point ``i``: ``np.linspace(a, b, grid)[i]``."""
@@ -152,18 +163,32 @@ class _LevelSets:
     def _refined_length(self, alpha: float, lo: float, hi: float) -> float:
         if lo == hi:
             return abs(self._end - lo)
-        # the grid puts f(lo) below alpha when f rises and at or above it when f falls
-        falling = self._view[1].step < 0
-        a, b = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, falling, _REFINE_TOL)
-        return abs(self._end - 0.5 * (a + b))
+        length = self._refined.get(alpha)
+        if length is None:
+            # the grid puts f(lo) below alpha when f rises and at or above it when f falls
+            falling = self._view[1].step < 0
+            a, b = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, falling, _REFINE_TOL)
+            length = self._refined[alpha] = abs(self._end - 0.5 * (a + b))
+        return length
 
     def _settled_count(self, alpha: float) -> int:
-        """Grid points with a value >= alpha, taken from the counted neighbours when they agree."""
+        """Grid points with a value >= alpha; counted neighbours settle or narrow the count."""
         alphas, counts = self._counted
         k = bisect.bisect_left(alphas, alpha)
-        if 0 < k < len(alphas) and counts[k - 1] == counts[k]:
-            return counts[k]  # the count is non-increasing, so it is settled between them
-        count = self._count(alpha)
+        if k < len(alphas) and alphas[k] == alpha:
+            return counts[k]
+        if 0 < k < len(alphas) and counts[k - 1] - counts[k] <= self.grid // _NARROW_SHARE:
+            if counts[k - 1] == counts[k]:
+                return counts[k]  # the count is non-increasing, so it is settled between them
+            # only the samples in [lo, hi) can lie on either side of alpha
+            lo, hi = alphas[k - 1], alphas[k]
+            kept_lo, kept_hi, kept = self._kept
+            pool = kept if kept_lo <= lo and hi <= kept_hi else self.vals
+            samples = pool[(pool >= lo) & (pool < hi)]
+            self._kept = (lo, hi, samples)
+            count = counts[k] + int(np.count_nonzero(samples >= alpha))
+        else:
+            count = self._count(alpha)
         alphas.insert(k, alpha)
         counts.insert(k, count)
         return count
@@ -208,11 +233,10 @@ def sugeno_integral(
         grid_points = None if levels.exact_boundaries else grid
         return IntegralResult(0.0, abs(mu_total), (0.0, 0.0), grid_points)
     lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg)
-    residual = abs(levels.measure(lo) - lo)
     if levels.exact_boundaries and (levels.unresolved(lo) or levels.unresolved(hi)):
         levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
         lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg)
-        residual = abs(levels.measure(lo) - lo)
+    residual = abs(levels.measure(lo) - lo)
     grid_points = None if levels.exact_boundaries else grid
     return IntegralResult(lo, residual, (lo, hi), grid_points)
 

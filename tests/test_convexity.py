@@ -1,6 +1,8 @@
 """Grid membership checks, endpoint envelopes, and the reference power-sum gap."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -33,6 +35,19 @@ def test_params_validation():
     for s, m in [(0.0, 1.0), (1.1, 1.0), (1.0, 0.0), (1.0, 1.5), (-0.2, 0.3)]:
         with pytest.raises(DomainError):
             SMParams(s, m)
+
+
+@pytest.mark.parametrize("value", [
+    SMParams(0.5, 0.75),
+    ConvexityVerdict(False, (0.0, 0.4, 0.4, 0.3117362800537964), 11, 244),
+    ConvexityVerdict(True, None, 101),
+    EndpointData(fa=1.0, fb=8.0, ga=1.0, gb=2.0),
+], ids=lambda value: type(value).__name__)
+def test_result_classes_are_slotted_and_round_trip(value):
+    # slotted like the other result classes: no per-instance __dict__
+    assert not hasattr(value, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and repr(copied) == repr(value) and hash(copied) == hash(value)
 
 
 # ---------------------------------------------------------------------------
