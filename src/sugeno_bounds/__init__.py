@@ -23,14 +23,13 @@ from .exceptions import (
 )
 from .expr import parse
 from .measure import Interval, distortion, lebesgue
-from .rootfind import SolverConfig
 from .sugeno import sugeno_integral
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "parse", "Interval", "SMParams", "lebesgue", "distortion", "SolverConfig",
+    "parse", "Interval", "SMParams", "lebesgue", "distortion",
     "sugeno_integral", "check_sm_convex", "hadamard_bound", "verify_hadamard",
     "ParseError", "EvalError", "BracketError", "DomainError",
     "NegativeFunctionError", "UnsupportedCaseError", "InvalidDistortionError",

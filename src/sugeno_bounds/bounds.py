@@ -43,7 +43,7 @@ from .convexity import EndpointData, SMParams, endpoint_data
 from .exceptions import DomainError, NegativeFunctionError, UnsupportedCaseError
 from .expr import FunctionExpr, product
 from .measure import Interval, lebesgue
-from .rootfind import SolverConfig, solve_sup_threshold
+from .rootfind import solve_sup_threshold
 from .sugeno import DEFAULT_GRID, NEG_SLACK, IntegralResult, sugeno_integral
 
 __all__ = [
@@ -146,7 +146,6 @@ def endpoint_bound(
     e: EndpointData,
     base: Interval,
     p: SMParams,
-    cfg: SolverConfig | None = None,
 ) -> BetaResult:
     """Bound threshold from endpoint data; mixed endpoints raise UnsupportedCaseError.
 
@@ -165,11 +164,10 @@ def endpoint_bound(
         if not math.isfinite(beta):
             raise DomainError(f"the degenerate-case threshold overflows: {beta!r}")
         return BetaResult(beta, 0.0, min(beta, base.length), tag)
-    cfg = SolverConfig() if cfg is None else cfg
     F = envelope_distribution(e, base, p)
     w = base.b - p.m * base.a
     hi = max(w * w, base.length)
-    beta, _ = solve_sup_threshold(F, 0.0, hi, cfg)
+    beta, _ = solve_sup_threshold(F, 0.0, hi)
     residual = abs(F(beta) - beta)
     _warn_if_rising(F, 0.0, hi)
     return BetaResult(beta, residual, min(beta, base.length), tag)
@@ -180,10 +178,9 @@ def hadamard_bound(
     g: FunctionExpr,
     base: Interval,
     p: SMParams,
-    cfg: SolverConfig | None = None,
 ) -> BetaResult:
     """Bound threshold for f*g from the endpoint values of f and g."""
-    return endpoint_bound(endpoint_data(f, g, base), base, p, cfg)
+    return endpoint_bound(endpoint_data(f, g, base), base, p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,14 +197,12 @@ def verify_hadamard(
     g: FunctionExpr,
     base: Interval,
     p: SMParams,
-    cfg: SolverConfig | None = None,
     grid: int = DEFAULT_GRID,
 ) -> VerificationReport:
     """Integrate f*g, compute the endpoint bounds, and report the measured margin."""
-    cfg = SolverConfig() if cfg is None else cfg
-    integral = sugeno_integral(product(f, g), base, lebesgue(), cfg, grid)
+    integral = sugeno_integral(product(f, g), base, lebesgue(), grid)
     e = endpoint_data(f, g, base)
-    bound = endpoint_bound(e, base, p, cfg)
+    bound = endpoint_bound(e, base, p)
     kir = kirmaci_bound(e, p.s)
     margin = bound.bound - integral.value
     return VerificationReport(integral, bound, kir, margin >= -HOLDS_TOL, margin)

@@ -14,6 +14,8 @@ run, full precision), csv (constant column count).  Identical invocations
 produce byte-identical stdout.
 
 ``--measure lebesgue`` (the default) is the identity distortion phi(t) = t.
+An expression that starts with ``-`` is passed with ``=``, as in
+``--f=-x+1``; ``--f "-x+1"`` reads it as an option and exits 2.
 
 Exit codes: 0 success; 1 a verified inequality failed under
 --fail-on-violation; 2 usage or expression parse errors (an expression
@@ -58,7 +60,6 @@ from .exceptions import (
 )
 from .expr import FunctionExpr, parse, product
 from .measure import Interval, distortion, lebesgue
-from .rootfind import SolverConfig
 from .sugeno import DEFAULT_GRID, MAX_GRID, IntegralResult, sugeno_integral
 
 __all__ = ["ReproduceRow", "reproduce", "emit_report", "build_parser", "run", "main"]
@@ -69,10 +70,6 @@ VERDICT_MISMATCH = "Mismatch"
 VERDICT_INCONSISTENT = "PaperInternalInconsistency"
 
 _FORMATS = ("text", "json", "csv")
-
-
-class _UsageError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ def reproduce(case: str = "all") -> list[ReproduceRow]:
     if case == "all":
         return [row for run_case in _CASES.values() for row in run_case()]
     if case not in _CASES:
-        raise _UsageError(f"unknown case {case!r}; pick one of {', '.join(_CASE_CHOICES)}")
+        raise ValueError(f"unknown case {case!r}; pick one of {', '.join(_CASE_CHOICES)}")
     return _CASES[case]()
 
 
@@ -243,7 +240,7 @@ def _report_fields(report) -> list[tuple[str, object]]:
 def emit_report(report, fmt: str = "text") -> str:
     """Render any report object in the requested format, deterministically."""
     if fmt not in _FORMATS:
-        raise _UsageError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
 
     if isinstance(report, list) and all(isinstance(r, ReproduceRow) for r in report):
         if fmt == "json":
@@ -277,13 +274,13 @@ def emit_report(report, fmt: str = "text") -> str:
 def _parse_interval(text: str) -> Interval:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"--interval expects 'a,b', got {text!r}")
+        raise ValueError(f"--interval expects 'a,b', got {text!r}")
     try:
         a, b = float(parts[0]), float(parts[1])
     except ValueError:
-        raise _UsageError(f"--interval expects two numbers, got {text!r}") from None
+        raise ValueError(f"--interval expects two numbers, got {text!r}") from None
     if not a < b:
-        raise _UsageError(f"--interval expects a < b, got {text!r}")
+        raise ValueError(f"--interval expects a < b, got {text!r}")
     return Interval(a, b)
 
 
@@ -311,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm = options()
     sm.add_argument("--s", type=float, required=True)
     sm.add_argument("--m", type=float, required=True)
-    tol = options()
-    tol.add_argument("--tol", type=float, default=SolverConfig().tol)
     grid = options()
     grid.add_argument("--grid", type=int, default=DEFAULT_GRID,
                       help="points in the integration grid "
@@ -320,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     pair = options(func)
     pair.add_argument("--g", required=True, dest="g_text", metavar="EXPR")
 
-    p = sub.add_parser("integrate", parents=[func, grid, tol, fmt],
+    p = sub.add_parser("integrate", parents=[func, grid, fmt],
                        help="Sugeno integral of f over [a,b]")
     p.add_argument("--measure", default="lebesgue",
                    help="'lebesgue' or a distortion map as an expression in x")
-    sub.add_parser("bound", parents=[pair, sm, tol, fmt],
+    sub.add_parser("bound", parents=[pair, sm, fmt],
                    help="endpoint-case bound threshold for a product f*g")
-    p = sub.add_parser("verify", parents=[pair, sm, grid, tol, fmt],
+    p = sub.add_parser("verify", parents=[pair, sm, grid, fmt],
                        help="integral of f*g against the endpoint bounds")
     p.add_argument("--fail-on-violation", action="store_true")
     p = sub.add_parser("convexity", parents=[func, sm, fmt],
@@ -346,16 +341,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     f = parse(args.f_text)
     if args.command == "integrate":
         phi = _parse_measure(args.measure, base)
-        report = sugeno_integral(f, base, phi, SolverConfig(tol=args.tol), args.grid)
+        report = sugeno_integral(f, base, phi, args.grid)
     elif args.command == "convexity":
         report = check_sm_convex(f, base, SMParams(args.s, args.m), args.grid)
     else:
         g = parse(args.g_text)
-        p, cfg = SMParams(args.s, args.m), SolverConfig(tol=args.tol)
+        p = SMParams(args.s, args.m)
         if args.command == "bound":
-            report = hadamard_bound(f, g, base, p, cfg)
+            report = hadamard_bound(f, g, base, p)
         else:
-            report = verify_hadamard(f, g, base, p, cfg, args.grid)
+            report = verify_hadamard(f, g, base, p, args.grid)
     print(emit_report(report, args.format))
     violated = args.command == "verify" and args.fail_on_violation and not report.holds
     return 1 if violated else 0
@@ -369,7 +364,7 @@ def run(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return _dispatch(args)
-    except (ParseError, _UsageError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedCaseError, DomainError, NegativeFunctionError,

@@ -13,43 +13,34 @@ already gives the sign at each end of the crossing cell; nothing in the
 package calls ``solve_sign_change`` itself.
 Neither probes G for monotonicity: the integral's G is non-increasing by
 construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
+Every bisection stops at one absolute width, ``TOL``, or at float resolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .exceptions import BracketError
 
 __all__ = [
-    "SolverConfig",
     "solve_sup_threshold",
     "solve_sign_change",
 ]
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Bisection stops once the bracket is narrower than ``tol`` or at float resolution."""
-
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+TOL = 1e-12
 
 
 def _halve(
-    h: Callable[[float], float], a: float, b: float, keep_positive: bool, tol: float
+    h: Callable[[float], float], a: float, b: float, keep_positive: bool
 ) -> tuple[float, float]:
-    """Halve [a, b] until it is narrower than ``tol`` or float resolution is reached.
+    """Halve [a, b] until it is narrower than ``TOL`` or float resolution is reached.
 
     A midpoint t replaces ``a`` when (h(t) > 0) == keep_positive and ``b``
     otherwise; an exact h(t) == 0 collapses the bracket to t.  Returns the
     final (a, b).
     """
+    tol = TOL  # a local name keeps the global lookup out of the loop
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -68,7 +59,6 @@ def solve_sup_threshold(
     G: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: SolverConfig = SolverConfig(),
 ) -> tuple[float, float]:
     """Bracket (alpha_lo, alpha_hi) of sup{alpha in [lo, hi] : G(alpha) >= alpha}, G non-increasing.
 
@@ -86,14 +76,13 @@ def solve_sup_threshold(
         raise BracketError(f"G(lo)={g_lo!r} < lo={lo!r}: predicate fails at the left end")
     if G(hi) >= hi:
         return hi, hi
-    return _halve(lambda t: G(t) - t, lo, hi, True, cfg.tol)
+    return _halve(lambda t: G(t) - t, lo, hi, True)
 
 
 def solve_sign_change(
     g: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: SolverConfig = SolverConfig(),
 ) -> float:
     """Bisection root of a continuous ``g`` with a sign change on [lo, hi]."""
     if not hi > lo:
@@ -106,5 +95,5 @@ def solve_sign_change(
         return hi
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise BracketError(f"no sign change: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
-    a, b = _halve(g, lo, hi, g_lo > 0.0, cfg.tol)
+    a, b = _halve(g, lo, hi, g_lo > 0.0)
     return 0.5 * (a + b)  # a tie leaves a == b, and 0.5 * (t + t) == t

@@ -56,7 +56,7 @@ import numpy as np
 from .exceptions import EvalError, NegativeFunctionError
 from .expr import FunctionExpr, evaluate, evaluate_array
 from .measure import Interval, lebesgue
-from .rootfind import SolverConfig, _halve, solve_sup_threshold
+from .rootfind import _halve, solve_sup_threshold
 
 __all__ = [
     "DEFAULT_GRID",
@@ -69,7 +69,6 @@ MAX_GRID = 10**7
 MAX_EXCLUDED_FRACTION = 0.001
 NEG_SLACK = 1e-12  # how far below zero a non-negative function's values may dip
 _MIN_GRID = 101
-_REFINE_TOL = 1e-12
 _SETTLE_MARGIN = 1e-12  # times max(1, alpha); see the module docstring
 _CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
 _NARROW_SHARE = 32  # a bracket of at most grid // 32 samples is counted on them alone
@@ -167,7 +166,7 @@ class _LevelSets:
         if length is None:
             # the grid puts f(lo) below alpha when f rises and at or above it when f falls
             falling = self._view[1].step < 0
-            a, b = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, falling, _REFINE_TOL)
+            a, b = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, falling)
             length = self._refined[alpha] = abs(self._end - 0.5 * (a + b))
         return length
 
@@ -220,22 +219,20 @@ def sugeno_integral(
     f: FunctionExpr,
     base: Interval,
     phi: FunctionExpr | None = None,
-    cfg: SolverConfig | None = None,
     grid: int = DEFAULT_GRID,
 ) -> IntegralResult:
     """Sugeno integral of a non-negative ``f`` over ``base`` under the distortion ``phi``."""
     phi = lebesgue() if phi is None else phi
-    cfg = SolverConfig() if cfg is None else cfg
     levels = _LevelSets(f, base, phi, grid)
     mu_total = evaluate(phi, base.length)
     if mu_total <= 0.0:
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         grid_points = None if levels.exact_boundaries else grid
         return IntegralResult(0.0, abs(mu_total), (0.0, 0.0), grid_points)
-    lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg)
+    lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total)
     if levels.exact_boundaries and (levels.unresolved(lo) or levels.unresolved(hi)):
         levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
-        lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total, cfg)
+        lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total)
     residual = abs(levels.measure(lo) - lo)
     grid_points = None if levels.exact_boundaries else grid
     return IntegralResult(lo, residual, (lo, hi), grid_points)

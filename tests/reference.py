@@ -39,7 +39,7 @@ from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionErr
 from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Neg, Node, Num, Var,
                                 _nan_where_operand_nonfinite, evaluate, evaluate_array)
 from sugeno_bounds.measure import Interval, lebesgue
-from sugeno_bounds.rootfind import SolverConfig, solve_sup_threshold
+from sugeno_bounds.rootfind import solve_sup_threshold
 from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_EXCLUDED_FRACTION, _LevelSets, sugeno_integral
 
 ORACLE_MIN_GRID = 101
@@ -171,12 +171,12 @@ def _clamp01(q: float) -> float:
     return 0.0 if q < 0.0 else (1.0 if q > 1.0 else q)
 
 
-def _solve_convex(F, w: float, case: CaseTag, cfg: SolverConfig | None) -> BetaResult:
-    beta, _ = solve_sup_threshold(F, 0.0, max(w * w, w), SolverConfig() if cfg is None else cfg)
+def _solve_convex(F, w: float, case: CaseTag) -> BetaResult:
+    beta, _ = solve_sup_threshold(F, 0.0, max(w * w, w))
     return BetaResult(beta, abs(F(beta) - beta), min(beta, w), case)
 
 
-def increasing_beta_convex(e, base: Interval, cfg: SolverConfig | None = None) -> BetaResult:
+def increasing_beta_convex(e, base: Interval) -> BetaResult:
     """Plain-convex specialization (s = m = 1) of the increasing-case equation."""
     if not (e.fb > e.fa and e.gb > e.ga):
         raise ValueError("need f(b) > f(a) and g(b) > g(a)")
@@ -189,10 +189,10 @@ def increasing_beta_convex(e, base: Interval, cfg: SolverConfig | None = None) -
         len_g = w * (1.0 - _clamp01((beta - e.ga) / d_g))
         return len_f * len_g
 
-    return _solve_convex(F, w, CaseTag.INCREASING, cfg)
+    return _solve_convex(F, w, CaseTag.INCREASING)
 
 
-def decreasing_beta_convex(e, base: Interval, cfg: SolverConfig | None = None) -> BetaResult:
+def decreasing_beta_convex(e, base: Interval) -> BetaResult:
     """Plain-convex specialization (s = m = 1) of the decreasing-case equation."""
     if not (e.fb < e.fa and e.gb < e.ga):
         raise ValueError("need f(b) < f(a) and g(b) < g(a)")
@@ -205,7 +205,7 @@ def decreasing_beta_convex(e, base: Interval, cfg: SolverConfig | None = None) -
         len_g = w * _clamp01((beta - e.ga) / d_g)
         return len_f * len_g
 
-    return _solve_convex(F, w, CaseTag.DECREASING, cfg)
+    return _solve_convex(F, w, CaseTag.DECREASING)
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,6 @@ def check_proposition_properties(
     k: float,
     base: Interval,
     phi: FunctionExpr | None = None,
-    cfg: SolverConfig | None = None,
     grid: int = 10001,
     tol: float = PROPERTY_TOL,
 ) -> PropertyReport:
@@ -326,8 +325,8 @@ def check_proposition_properties(
     phi = lebesgue() if phi is None else phi
     if k < 0.0:
         raise ValueError("k must be non-negative")
-    v_f = sugeno_integral(f, base, phi, cfg, grid).value
-    v_g = sugeno_integral(g, base, phi, cfg, grid).value
+    v_f = sugeno_integral(f, base, phi, grid).value
+    v_g = sugeno_integral(g, base, phi, grid).value
 
     xs = np.linspace(base.a, base.b, grid)
     f_vals, g_vals = evaluate_array(f, xs), evaluate_array(g, xs)
@@ -341,7 +340,7 @@ def check_proposition_properties(
         )
 
     mu_total = evaluate(phi, base.length)
-    v_k = sugeno_integral(constant(k), base, phi, cfg, grid).value
+    v_k = sugeno_integral(constant(k), base, phi, grid).value
     bounded = v_f <= mu_total + tol and v_g <= mu_total + tol
     const_ok = abs(v_k - min(k, mu_total)) <= tol
     mono = v_f <= v_g + tol

@@ -32,10 +32,7 @@ from sugeno_bounds.cli import reproduce, run
 from sugeno_bounds.convexity import EndpointData, SMParams, check_sm_convex, envelope
 from sugeno_bounds.expr import parse, product
 from sugeno_bounds.measure import Interval, distortion, lebesgue
-from sugeno_bounds.rootfind import SolverConfig
 from sugeno_bounds.sugeno import sugeno_integral
-
-TIGHT = SolverConfig(tol=1e-14)
 
 
 def _finish(cid, ok, detail, elapsed, limit):
@@ -106,7 +103,7 @@ def test_criterion2_square_case_and_flagged_threshold():
 
     # product-of-lengths equation 9(8-b)(2-b)/7 = b: root (97-65)/18 = 16/9
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
-    res = endpoint_bound(e, base, SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, base, SMParams(1.0, 1.0))
     want_beta = (97.0 - math.sqrt(97.0 * 97.0 - 4.0 * 9.0 * 144.0)) / 18.0
     checks += [res.residual <= 1e-9, abs(res.beta - want_beta) <= 1e-6]
 
@@ -130,7 +127,7 @@ def test_criterion2_square_case_and_flagged_threshold():
 @criterion("C3", limit=1.0)
 def test_criterion3_reciprocal_quartic_case():
     report = verify_hadamard(parse("1/x^2"), parse("1/x^2"), Interval(1.0, 2.0),
-                             SMParams(1.0, 1.0), TIGHT)
+                             SMParams(1.0, 1.0))
     want_beta = (41.0 - math.sqrt(657.0)) / 32.0
     checks = [
         abs(report.integral.value - 0.3247) <= 5e-4,
@@ -244,15 +241,15 @@ def test_criterion7_convex_specialization_agreement():
         box = box_of()
         fa, ga = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
         e = EndpointData(fa, fa + rng.uniform(0.1, 6.0), ga, ga + rng.uniform(0.1, 6.0))
-        d = abs(endpoint_bound(e, box, p, TIGHT).beta
-                - increasing_beta_convex(e, box, TIGHT).beta)
+        d = abs(endpoint_bound(e, box, p).beta
+                - increasing_beta_convex(e, box).beta)
         worst = max(worst, d)
     for _ in range(50):
         box = box_of()
         fb, gb = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
         e = EndpointData(fb + rng.uniform(0.1, 6.0), fb, gb + rng.uniform(0.1, 6.0), gb)
-        d = abs(endpoint_bound(e, box, p, TIGHT).beta
-                - decreasing_beta_convex(e, box, TIGHT).beta)
+        d = abs(endpoint_bound(e, box, p).beta
+                - decreasing_beta_convex(e, box).beta)
         worst = max(worst, d)
     exact = 0
     for _ in range(20):

@@ -24,9 +24,6 @@ from sugeno_bounds.convexity import EndpointData, SMParams
 from sugeno_bounds.exceptions import DomainError, UnsupportedCaseError
 from sugeno_bounds.expr import parse
 from sugeno_bounds.measure import Interval
-from sugeno_bounds.rootfind import SolverConfig
-
-TIGHT = SolverConfig(tol=1e-14)
 
 
 def test_classify_cases():
@@ -86,7 +83,7 @@ def test_increasing_case_quadratic_root():
     # f: 1 -> 8, g: 1 -> 2 on [1,4], s=m=1.
     # 9(8-b)(2-b)/7 = b gives 9b^2 - 97b + 144 = 0, small root (97-65)/18 = 16/9
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
-    res = endpoint_bound(e, Interval(1.0, 4.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(1.0, 4.0), SMParams(1.0, 1.0))
     assert res.beta == pytest.approx(16.0 / 9.0, abs=1e-9)
     assert res.bound == pytest.approx(16.0 / 9.0, abs=1e-9)
     assert res.case is CaseTag.INCREASING
@@ -97,7 +94,7 @@ def test_decreasing_case_quadratic_root():
     # f and g both 1 -> 1/4 on [1,2], s=m=1.
     # ((1-b)/0.75)^2 = b gives 16b^2 - 41b + 16 = 0, root (41-sqrt(657))/32
     e = EndpointData(1.0, 0.25, 1.0, 0.25)
-    res = endpoint_bound(e, Interval(1.0, 2.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(1.0, 2.0), SMParams(1.0, 1.0))
     want = (41.0 - math.sqrt(657.0)) / 32.0
     assert res.beta == pytest.approx(want, abs=1e-9)
     assert res.case is CaseTag.DECREASING
@@ -106,14 +103,14 @@ def test_decreasing_case_quadratic_root():
 def test_increasing_case_unit_endpoints():
     # f and g both 0 -> 1 on [0,1]: (1-b)^2 = b, root (3-sqrt(5))/2
     e = EndpointData(0.0, 1.0, 0.0, 1.0)
-    res = endpoint_bound(e, Interval(0.0, 1.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(0.0, 1.0), SMParams(1.0, 1.0))
     assert res.beta == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-9)
 
 
 def test_decreasing_case_exact_tie_root():
     # f and g both 2 -> 1 on [0,1]: F(b) = (2-b)^2 on [1,2], fixed point exactly 1
     e = EndpointData(2.0, 1.0, 2.0, 1.0)
-    res = endpoint_bound(e, Interval(0.0, 1.0), SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, Interval(0.0, 1.0), SMParams(1.0, 1.0))
     assert res.beta == pytest.approx(1.0, abs=1e-9)
     assert res.bound == pytest.approx(1.0, abs=1e-9)
 
@@ -167,13 +164,13 @@ def test_convex_specialization_matches_general_exactly():
     box = Interval(1.0, 4.0)
     p = SMParams(1.0, 1.0)
     inc = EndpointData(1.0, 8.0, 1.0, 2.0)
-    general = endpoint_bound(inc, box, p, TIGHT)
-    special = increasing_beta_convex(inc, box, TIGHT)
+    general = endpoint_bound(inc, box, p)
+    special = increasing_beta_convex(inc, box)
     assert general.beta == special.beta  # same ops in the same order
 
     dec = EndpointData(5.0, 1.0, 3.0, 0.5)
-    general = endpoint_bound(dec, box, p, TIGHT)
-    special = decreasing_beta_convex(dec, box, TIGHT)
+    general = endpoint_bound(dec, box, p)
+    special = decreasing_beta_convex(dec, box)
     assert general.beta == special.beta
 
 
@@ -198,7 +195,7 @@ def test_distribution_value_at_left_edge():
 def test_residual_certificate_both_sides():
     e = EndpointData(1.0, 8.0, 1.0, 2.0)
     box = Interval(1.0, 4.0)
-    res = endpoint_bound(e, box, SMParams(1.0, 1.0), TIGHT)
+    res = endpoint_bound(e, box, SMParams(1.0, 1.0))
     F = envelope_distribution(e, box, SMParams(1.0, 1.0))
     assert res.residual == abs(F(res.beta) - res.beta)
     eps = 1e-9
@@ -212,7 +209,7 @@ def test_beta_exceeds_base_length_when_m_below_one():
     e = EndpointData(2.0, 20.0, 2.0, 2.2)
     box = Interval(1.0, 2.0)
     p = SMParams(1.0, 0.9)
-    res = endpoint_bound(e, box, p, TIGHT)
+    res = endpoint_bound(e, box, p)
     assert res.beta == pytest.approx(1.1 * 1.1, abs=1e-9)
     assert res.bound == pytest.approx(1.0, abs=1e-9)  # min(beta, b-a) still caps
 
@@ -231,14 +228,14 @@ def test_decreasing_literal_shift_negative_lengths():
 
 def test_dispatch_increasing():
     res = hadamard_bound(parse("x^2"), parse("2*x"), Interval(1.0, 4.0),
-                         SMParams(1.0, 1.0), TIGHT)
+                         SMParams(1.0, 1.0))
     assert res.case is CaseTag.INCREASING
 
 
 def test_dispatch_power_pair_reaches_quadratic_root():
     # x^(3/2) and x^(1/2) on [1,4] have endpoints 1->8 and 1->2
     res = hadamard_bound(parse("x^(3/2)"), parse("x^(1/2)"), Interval(1.0, 4.0),
-                         SMParams(1.0, 1.0), TIGHT)
+                         SMParams(1.0, 1.0))
     assert res.case is CaseTag.INCREASING
     assert res.beta == pytest.approx(16.0 / 9.0, abs=1e-9)
 

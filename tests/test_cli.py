@@ -87,10 +87,16 @@ def test_verify_json_fields(capsys):
     assert obj["holds"] is True
 
 
-@pytest.mark.parametrize("command, flag", [("bound", "--no-literal"), ("verify", "--literal")])
-def test_removed_literal_options_exit_two(capsys, command, flag):
-    code = run([command, "--f", "x^2", "--g", "2*x", "--interval", "1,4",
-                "--s", "1", "--m", "1", flag])
+@pytest.mark.parametrize("command, flag", [
+    ("bound", "--no-literal"), ("verify", "--literal"),
+    ("integrate", "--tol 1e-6"), ("bound", "--tol 1e-6"), ("verify", "--tol 1e-6"),
+], ids=["bound---no-literal", "verify---literal", "integrate---tol", "bound---tol", "verify---tol"])
+def test_removed_options_exit_two(capsys, command, flag):
+    # the clamped bound mode and the solver tolerance are gone
+    argv = [command, "--f", "x^2", "--interval", "1,4"]
+    if command != "integrate":
+        argv += ["--g", "2*x", "--s", "1", "--m", "1"]
+    code = run(argv + flag.split())
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"error: unrecognized arguments: {flag}" in captured.err
@@ -288,15 +294,6 @@ def test_unknown_subcommand_exit_two(capsys):
     assert run(["frobnicate"]) == 2
 
 
-def test_infinite_tol_exit_two(capsys):
-    # tol=inf would stop bisection at once and report the bracket end
-    code, out = _run(capsys, "integrate", "--f", "x", "--interval", "0,1", "--tol", "inf")
-    assert code == 2 and out == ""
-    code, _ = _run(capsys, "bound", "--f", "x^2", "--g", "2*x", "--interval", "1,4",
-                   "--s", "1", "--m", "1", "--tol", "inf")
-    assert code == 2
-
-
 def test_unevaluable_lattice_exit_three(capsys):
     code, out = _run(capsys, "convexity", "--f", "1e400", "--interval", "0,1",
                      "--s", "1", "--m", "1")
@@ -358,6 +355,14 @@ def test_reproduce_api_matches_cli():
     assert len(rows) == 2
     assert all(r.verdict == "Match" for r in rows)
     assert rows[0].abs_diff <= 5e-4
+
+
+def test_library_usage_errors_are_value_errors():
+    # the CLI maps them to exit 2; a library caller gets the builtin exception
+    with pytest.raises(ValueError, match="unknown case '9'"):
+        reproduce("9")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_report(IntegralResult(0.5, 0.0, (0.5, 0.5)), "xml")
 
 
 def test_byte_identical_determinism():

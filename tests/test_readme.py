@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+import sugeno_bounds
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -19,3 +21,9 @@ def test_readme_library_block_prints_its_documented_lines():
     assert member == "True"
     holds, margin = verified.split()
     assert holds == "True" and margin.startswith("0.15553")
+
+
+def test_readme_export_sentence_lists_the_package_root():
+    sentence = re.search(r"The package root exports (.*?)\.  Everything else", README.read_text(), re.S)
+    assert sentence is not None
+    assert sorted(re.findall(r"`(\w+)`", sentence.group(1))) == sorted(sugeno_bounds.__all__)

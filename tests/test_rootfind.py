@@ -16,7 +16,7 @@ from sugeno_bounds.convexity import SMParams
 from sugeno_bounds.exceptions import BracketError
 from sugeno_bounds.expr import parse
 from sugeno_bounds.measure import Interval
-from sugeno_bounds.rootfind import SolverConfig, solve_sign_change, solve_sup_threshold
+from sugeno_bounds.rootfind import solve_sign_change, solve_sup_threshold
 
 
 def _local_sup_threshold(G, lo, hi, iters=200):
@@ -92,14 +92,6 @@ def test_residual_certificate():
     lo, hi = solve_sup_threshold(G, 0.0, 1.0)
     assert G(lo) >= lo and G(hi) < hi and hi - lo <= 1e-12
     assert abs(G(lo) - lo) <= 3e-12  # G(a) - a falls with slope about 2.24 here
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    for tol in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=tol)
 
 
 def test_huge_brackets_solve_to_tol():

@@ -23,7 +23,6 @@ from sugeno_bounds.cli import run
 from sugeno_bounds.exceptions import EvalError, NegativeFunctionError
 from sugeno_bounds.expr import BinOp, Call, FunctionExpr, Num, Var, evaluate_array, parse
 from sugeno_bounds.measure import Interval, distortion, lebesgue
-from sugeno_bounds.rootfind import SolverConfig
 from sugeno_bounds.sugeno import DEFAULT_GRID, MAX_GRID, sugeno_integral
 from test_expr import _trees
 
@@ -383,7 +382,7 @@ def test_unresolved_exclusions_count_on_the_grid(src, exact):
     assert res.value == pytest.approx(exact, abs=2e-5)
 
 
-def _scalar_calls(monkeypatch, src, base, cfg=SolverConfig()):
+def _scalar_calls(monkeypatch, src, base):
     """The integral of ``src`` over ``base`` and its integrand and phi evaluations;
     phi's include mu(X)."""
     f, calls = parse(src), {"f": 0, "phi": 0}
@@ -394,7 +393,7 @@ def _scalar_calls(monkeypatch, src, base, cfg=SolverConfig()):
         return evaluate(g, x)
 
     monkeypatch.setattr(sugeno, "evaluate", counting)
-    return sugeno_integral(f, base, cfg=cfg), calls
+    return sugeno_integral(f, base), calls
 
 
 def test_monotone_integral_scalar_evaluations(monkeypatch):
@@ -405,14 +404,6 @@ def test_monotone_integral_scalar_evaluations(monkeypatch):
     res, calls = _scalar_calls(monkeypatch, "x^2", Interval(1.0, 4.0))
     assert res.value == pytest.approx(SQUARE_14, abs=1e-11)
     assert calls["f"] <= 650 and calls["phi"] <= 116, calls
-
-
-def test_loose_tolerance_settles_every_step(monkeypatch):
-    # the solve stops before alpha comes within the crossing cell's bounds on
-    # F, so every step is settled and only the residual refines
-    res, calls = _scalar_calls(monkeypatch, "x^2", Interval(1.0, 4.0), SolverConfig(tol=1e-3))
-    assert res.value == pytest.approx(SQUARE_14, abs=1e-3)
-    assert calls["f"] <= 25 and calls["phi"] <= 30, calls
 
 
 @pytest.mark.filterwarnings("ignore:excluded 1 non-evaluable")
@@ -505,17 +496,24 @@ def test_crossing_on_an_ulp_split_grid_value(src, i, length):
     assert abs(levels.level_length(alpha) - length(x)) <= 1e-12
 
 
-def test_tight_tolerance_improves_residual():
-    loose = sugeno_integral(parse("x^2"), Interval(1.0, 4.0), cfg=SolverConfig(tol=1e-6))
-    tight = sugeno_integral(parse("x^2"), Interval(1.0, 4.0), cfg=SolverConfig(tol=1e-13))
-    assert abs(tight.value - SQUARE_14) <= abs(loose.value - SQUARE_14) + 1e-14
-
-
 def test_constant_on_huge_interval():
     # bisection over [0, 1e60] needs about 240 halvings to reach tol; a step
     # cap would stop it early at a bracket far wider than the answer
     res = sugeno_integral(constant(1e-5), Interval(0.0, 1e60))
     assert res.value == pytest.approx(1e-5, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the bisection stops at an absolute 1e-12, so an integral near or "
+                          "below that size is only bracketed by alpha_lo and alpha_hi")
+def test_sub_tolerance_integrals_keep_their_digits():
+    # x on [0, L] integrates to L/2, and c*x on [0, 1] to c/(1+c); today the
+    # first two give 0.0 and the third comes out about 0.9% low
+    got = [sugeno_integral(parse("x"), Interval(0.0, 1e-13)).value,
+           sugeno_integral(parse("1e-13*x"), Interval(0.0, 1.0)).value,
+           sugeno_integral(parse("1e-10*x"), Interval(0.0, 1.0)).value]
+    want = [5e-14, 1e-13 / (1 + 1e-13), 1e-10 / (1 + 1e-10)]
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)  # approx's default abs is 1e-12
 
 
 @pytest.mark.parametrize("phi", ["0*x", "0"])
