@@ -11,21 +11,26 @@ is computed by bisecting on the predicate F(alpha) >= alpha, and F is not
 probed for monotonicity (only the bound engine, whose envelope product can
 rise, probes its F).
 
-The integrand is sampled on an x grid, evaluated in fixed-size chunks.  No
-x array is kept: a grid point's coordinate is recomputed the way
-``np.linspace`` computes it, so an integral holds 8 B per grid point plus
-chunk-sized buffers (0.8 MB at the default grid, 80 MB at the cap).  When
+The integrand is sampled on an x grid, evaluated in fixed-size chunks.  Its
+array form is compiled once per grid, and each chunk's coordinates are
+written into one reused buffer the way ``np.linspace`` computes them; a
+grid point's coordinate is recomputed the same way later, so no x array is
+kept.  An integral holds 8 B per grid point plus chunk-sized buffers (0.8 MB
+at the default grid, 80 MB at the cap).  Values that are not finite become
+NaN in one pass over the grid, as ``evaluate_array`` gives them.  When
 the sampled values are monotone, the level-set boundary is refined by
 bisection and the level set is an exact interval; otherwise the measure
 falls back to grid counting.  A count is non-increasing in alpha, so an
 alpha already counted takes its count again, and an alpha between two counted
 ones with equal counts takes that count unscanned.  Where the two counts
 differ by at most grid // 32, only the samples in [alpha_L, alpha_R) can lie
-on either side of alpha: they are extracted once (from the previous narrow
-bracket's samples when that bracket covers this one) and kept, and the count
-is count(alpha_R) plus those samples >= alpha.  The counts are exact, and a
-NaN sample falls in no subset, so this gives what counting the whole grid
-gives; other alphas count the whole grid.
+on either side of alpha: they are extracted once, sorted and kept with
+count(alpha_R), and the count at any alpha in [alpha_L, alpha_R] is
+count(alpha_R) plus the kept samples >= alpha, found by binary search.  The
+bisection's later brackets lie inside the kept one, so it makes no further
+pass over the grid.  The counts are exact, and a NaN sample falls in no
+subset, so this gives what counting the whole grid gives; other alphas
+count the whole grid.
 The crossing cell's ends come from the grid, which already puts one on each
 side of alpha, so they are not evaluated again: the bisection evaluates only
 midpoints, and an EvalError at a midpoint propagates.
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EvalError, NegativeFunctionError
-from .expr import FunctionExpr, evaluate, evaluate_array
+from .expr import _ARRAY, FunctionExpr, _compile, evaluate
 from .measure import Interval, lebesgue
 from .rootfind import _halve, solve_sup_threshold
 
@@ -70,8 +75,8 @@ MAX_EXCLUDED_FRACTION = 0.001
 NEG_SLACK = 1e-12  # how far below zero a non-negative function's values may dip
 _MIN_GRID = 101
 _SETTLE_MARGIN = 1e-12  # times max(1, alpha); see the module docstring
-_CHUNK_POINTS = 1 << 14  # grid points per evaluate_array call
-_NARROW_SHARE = 32  # a bracket of at most grid // 32 samples is counted on them alone
+_CHUNK_POINTS = 1 << 14  # grid points per evaluation of the integrand's array form
+_NARROW_SHARE = 32  # a bracket of at most grid // 32 samples is sorted, kept and counted alone
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,13 +99,18 @@ class _LevelSets:
         self.grid = grid
         self._step = base.length / (grid - 1)
         self.vals = np.empty(grid)
-        for i0 in range(0, grid, _CHUNK_POINTS):  # only vals is grid-sized
-            i1 = min(i0 + _CHUNK_POINTS, grid)
-            xs = self._scaled(np.arange(i0, i1, dtype=float))
-            if i1 == grid:
-                xs[-1] = base.b
-            self.vals[i0:i1] = evaluate_array(f, xs)
-        bad = np.isnan(self.vals)
+        f_array = _compile(f.root, _ARRAY)  # once per build; not kept
+        index = np.arange(min(grid, _CHUNK_POINTS), dtype=float)
+        buffer = np.empty_like(index)  # only vals is grid-sized
+        with np.errstate(all="ignore"):
+            for i0 in range(0, grid, _CHUNK_POINTS):
+                n = min(_CHUNK_POINTS, grid - i0)
+                xs = self._scaled(np.add(index[:n], i0, out=buffer[:n]))
+                if i0 + n == grid:
+                    xs[-1] = base.b
+                self.vals[i0:i0 + n] = f_array(xs)
+            bad = ~np.isfinite(self.vals)
+        self.vals[bad] = np.nan  # as evaluate_array gives an undefined point
         self.n_excluded = int(np.count_nonzero(bad))
         if self.n_excluded >= MAX_EXCLUDED_FRACTION * grid:
             raise EvalError(f"integrand is not evaluable at {self.n_excluded} of {grid} grid points")
@@ -127,7 +137,7 @@ class _LevelSets:
         a_open, b_open = first > 0, stop < grid
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
-        self._kept = (-np.inf, np.inf, self.vals)  # (lo, hi, a superset of the samples in [lo, hi))
+        self._kept = (np.inf, -np.inf, None, 0)  # (lo, hi, sorted samples in [lo, hi), count(hi))
         self._refined = {}  # refined level length by alpha
 
     def x(self, i: int) -> float:
@@ -135,11 +145,15 @@ class _LevelSets:
         return self.base.b if i == self.grid - 1 else self._scaled(i)
 
     def _scaled(self, i):
-        # linspace's arithmetic for an index or an array of them; when the
-        # step underflows to 0, numpy scales by the length instead
+        # linspace's arithmetic for an index, or in place on an array of
+        # them; when the step underflows to 0, numpy scales by the length instead
         if self._step == 0.0:
-            return i / (self.grid - 1) * self.base.length + self.base.a
-        return i * self._step + self.base.a
+            i /= self.grid - 1
+            i *= self.base.length
+        else:
+            i *= self._step
+        i += self.base.a
+        return i
 
     def level_length(self, alpha: float) -> float:
         """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
@@ -176,16 +190,17 @@ class _LevelSets:
         k = bisect.bisect_left(alphas, alpha)
         if k < len(alphas) and alphas[k] == alpha:
             return counts[k]
-        if 0 < k < len(alphas) and counts[k - 1] - counts[k] <= self.grid // _NARROW_SHARE:
-            if counts[k - 1] == counts[k]:
-                return counts[k]  # the count is non-increasing, so it is settled between them
-            # only the samples in [lo, hi) can lie on either side of alpha
-            lo, hi = alphas[k - 1], alphas[k]
-            kept_lo, kept_hi, kept = self._kept
-            pool = kept if kept_lo <= lo and hi <= kept_hi else self.vals
-            samples = pool[(pool >= lo) & (pool < hi)]
-            self._kept = (lo, hi, samples)
-            count = counts[k] + int(np.count_nonzero(samples >= alpha))
+        if 0 < k < len(alphas) and counts[k - 1] == counts[k]:
+            return counts[k]  # the count is non-increasing, so it is settled between them
+        lo, hi, samples, count_hi = self._kept
+        if not lo <= alpha <= hi and 0 < k < len(alphas) \
+                and counts[k - 1] - counts[k] <= self.grid // _NARROW_SHARE:
+            # only the samples in [lo, hi) can lie on either side of alpha: keep them sorted
+            lo, hi, count_hi = alphas[k - 1], alphas[k], counts[k]
+            samples = np.sort(self.vals[(self.vals >= lo) & (self.vals < hi)])
+            self._kept = (lo, hi, samples, count_hi)
+        if lo <= alpha <= hi:
+            count = count_hi + len(samples) - int(np.searchsorted(samples, alpha, "left"))
         else:
             count = self._count(alpha)
         alphas.insert(k, alpha)
