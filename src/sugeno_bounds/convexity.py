@@ -7,8 +7,9 @@ A function f belongs to the class K2(s, m) on an interval when
 for all x, y in the interval and lam in [0, 1], with s, m in (0, 1].
 ``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice,
 scanned in slabs of a fixed number of points (whole x rows, or blocks of
-y columns of one x row when a row does not fit), so that memory stays
-under 2 MB at the largest lattice (time still grows as grid^3).
+y columns of one x row when a row does not fit) by one compiled array form
+of f, so that memory stays under 2 MB at the largest lattice (time still
+grows as grid^3).
 ``envelope`` builds, as an expression, the endpoint power envelope that
 dominates such a function on [a, b]; its value at x is
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, EvalError
-from .expr import BinOp, FunctionExpr, Num, Var, evaluate, evaluate_array
+from .expr import _ARRAY, BinOp, FunctionExpr, Num, Var, _compile, evaluate, evaluate_array
 from .measure import Interval
 
 __all__ = [
@@ -106,17 +107,21 @@ def check_sm_convex(
 
     The lattice is scanned i-major in slabs of at most ``_SLAB_POINTS``
     points: whole x rows when one fits, else blocks of y columns of a single
-    x row, all in one buffer.  Memory stays under 2 MB at ``MAX_LATTICE``;
-    time still grows as grid^3.  A combination is skipped exactly where its
-    gap is NaN: f is undefined at the combination point, at x or at y (the
+    x row, all in one buffer.  f's array form is compiled once per call and
+    run on each slab.  Memory stays under 2 MB at ``MAX_LATTICE``; time
+    still grows as grid^3.  A combination is skipped exactly where f is
+    undefined (not finite) at the combination point, at x or at y (the
     right-hand side terms are at most |f(x)| and |f(y)|, so it can overflow
-    to +-inf but never to NaN); ``np.argmax`` stops at a slab's first NaN.
+    to +-inf but never to NaN).  Each of those makes the gap non-finite, so
+    only a slab whose largest or smallest gap is not finite looks for skips;
+    ``np.argmax`` stops at a slab's first NaN.
     """
     if not 11 <= grid <= MAX_LATTICE:
         raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
     xs = np.linspace(base.a, base.b, grid)
     lams = np.linspace(0.0, 1.0, grid)
     f_ends = evaluate_array(f, xs)
+    f_array = _compile(f.root, _ARRAY)  # once per call; may return its argument or a float
     cols = min(grid, max(1, _SLAB_POINTS // grid))  # y columns per slab
     rows = max(1, _SLAB_POINTS // (grid * cols))  # x rows per slab; 1 when a row is split
     buf = np.empty(min(rows, grid) * cols * grid)  # each slab's points, then its gaps
@@ -127,26 +132,30 @@ def check_sm_convex(
         lam_fx = f_ends[:, None] * lams**p.s
         y_terms = (p.m * (1.0 - lams)) * xs[:, None]
         fy_terms = (p.m * ((1.0 - lams) ** p.s)) * f_ends[:, None]
+        blocks = [(j0, y_terms[j0:j0 + cols], fy_terms[j0:j0 + cols]) for j0 in range(0, grid, cols)]
         for i0 in range(0, grid, rows):
             x_slab = lam_x[i0:i0 + rows, None]
             fx_slab = lam_fx[i0:i0 + rows, None]
-            for j0 in range(0, grid, cols):
-                y_slab = y_terms[j0:j0 + cols]
-                shape = (len(x_slab), len(y_slab), grid)
+            for j0, y_slab, fy_slab in blocks:
+                shape = (len(x_slab), *y_slab.shape)
                 points = buf[:math.prod(shape)].reshape(shape)
                 np.copyto(points, x_slab)  # a copy, then an in-place add, beats broadcasting x
-                lhs = evaluate_array(f, np.add(points, y_slab, out=points))
+                lhs = f_array(np.add(points, y_slab, out=points))
+                if lhs is points:  # a bare x; a constant comes back as a float, which is not shared
+                    lhs = lhs.copy()
                 np.copyto(points, fx_slab)
-                gaps = np.add(points, fy_terms[j0:j0 + cols], out=points)
+                gaps = np.add(points, fy_slab, out=points)
                 np.subtract(lhs, gaps, out=gaps)
-                flat = int(np.argmax(gaps))  # the first NaN, if the slab holds a skip
-                if math.isnan(gaps.flat[flat]):
-                    undefined = np.isnan(gaps)
+                flat = int(np.argmax(gaps))  # a NaN gap, if any, stops it
+                top = gaps.flat[flat]
+                if not (math.isfinite(top) and math.isfinite(gaps.min())):  # a skip or an overflow
+                    undefined = np.isnan(gaps) | ~np.isfinite(lhs)  # f undefined at x, y or the point
                     skipped += int(np.count_nonzero(undefined))
                     gaps[undefined] = -np.inf
                     flat = int(np.argmax(gaps))
-                if gaps.flat[flat] > worst:  # strict: on a tie the earlier slab keeps the witness
-                    worst = float(gaps.flat[flat])
+                    top = gaps.flat[flat]
+                if top > worst:  # strict: on a tie the earlier slab keeps the witness
+                    worst = float(top)
                     i, j, k = np.unravel_index(flat, shape)
                     worst_at = (i0 + i, j0 + j, k)
     if skipped == grid**3:

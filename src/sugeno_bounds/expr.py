@@ -24,9 +24,10 @@ tree would, operands left to right.  The tables are ``operator``/``math``
 functions on a float (:func:`evaluate` raises :class:`EvalError` naming the
 failing operation) and numpy ufuncs on an array (:func:`evaluate_array`
 marks the point NaN).  The float form is compiled once per expression, on
-first use, and kept; the array form is compiled on each call, whose numpy
-work over many points outweighs the compile, so it holds no memory between
-calls.  Both tables apply one rule:
+first use, and kept; the array form is compiled on each
+:func:`evaluate_array` call, and once per grid build or lattice scan by the
+callers that run it chunk by chunk, so it holds no memory between calls.
+Both tables apply one rule:
 ``f`` is undefined where any node's value, literals included, is not
 finite, so ``1e400`` is undefined and so is ``1/exp(1000*x)`` at ``x = 1``.
 Only ``/``, ``exp`` and a power can turn a non-finite operand finite

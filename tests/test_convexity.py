@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import check_envelope_dominates, check_sm_convex_whole, power_sum_gap
-from sugeno_bounds import convexity
+from sugeno_bounds import convexity, expr
 from sugeno_bounds.convexity import (
     MAX_LATTICE,
     ConvexityVerdict,
@@ -182,6 +182,10 @@ def _verdict_or_error(check, f, base, p, grid):
 # so f(x) and f(y) cause skips too.  Adding 0*ln(abs(x - 0.5)) to the
 # overflowing line puts skipped (NaN) gaps and a gap of +inf in one slab, so
 # the argmax that finds a slab's first NaN must not stop at the infinity.
+# 1/(x-2.5)^2 and ln(abs(x-2.5)) on [0, 10] are finite at every lattice x but
+# +inf and -inf at the combination point 2.5 (x = 2, y = 3, lam = 0.5), so
+# only the gap shows those skips.  The constant 2 and a bare x are the two
+# inputs whose compiled form returns a float or its own argument.
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees(4),
        a=st.floats(min_value=0.0, max_value=3.0),
@@ -205,6 +209,22 @@ def _verdict_or_error(check, f, base, p, grid):
          s=0.5, m=1.0, grid=11, slab_points=convexity._SLAB_POINTS)  # skips next to +inf
 @example(tree=parse("1.7e308*(1-2*x)+0*ln(abs(x-0.5))").root, a=0.0, width=1.0, cut=None,
          s=0.5, m=1.0, grid=11, slab_points=64)
+@example(tree=parse("1/(x-2.5)^2").root, a=0.0, width=10.0, cut=None, s=1.0, m=1.0, grid=11,
+         slab_points=convexity._SLAB_POINTS)  # f(2.5) = +inf, f(2) and f(3) finite
+@example(tree=parse("1/(x-2.5)^2").root, a=0.0, width=10.0, cut=None, s=1.0, m=1.0, grid=11,
+         slab_points=64)
+@example(tree=parse("ln(abs(x-2.5))").root, a=0.0, width=10.0, cut=None, s=1.0, m=1.0, grid=11,
+         slab_points=convexity._SLAB_POINTS)  # f(2.5) = -inf
+@example(tree=parse("ln(abs(x-2.5))").root, a=0.0, width=10.0, cut=None, s=1.0, m=1.0, grid=11,
+         slab_points=64)
+@example(tree=parse("2").root, a=0.0, width=1.0, cut=None, s=0.5, m=0.7, grid=11,
+         slab_points=convexity._SLAB_POINTS)  # the compiled form returns a float
+@example(tree=parse("2").root, a=0.0, width=1.0, cut=None, s=0.5, m=0.7, grid=11,
+         slab_points=64)
+@example(tree=parse("x").root, a=0.0, width=1.0, cut=None, s=0.5, m=0.7, grid=11,
+         slab_points=convexity._SLAB_POINTS)  # the compiled form returns its argument
+@example(tree=parse("x").root, a=0.0, width=1.0, cut=None, s=0.5, m=0.7, grid=11,
+         slab_points=64)
 def test_slabs_match_whole_lattice(tree, a, width, cut, s, m, grid, slab_points):
     # the slab scan keeps every gap bit-identical, the skipped count and the
     # first-maximum witness of the whole-lattice argmax
@@ -246,20 +266,44 @@ def test_skip_heavy_lattice_matches_whole(text, a, b, s, m, want, slab_points):
 
 
 def test_slab_size_is_bounded():
-    # after the xs call, each evaluate_array call gets one slab, and the slabs
-    # cover the lattice once
-    sizes = []
+    # evaluate_array gets only the xs; each call of the compiled array form
+    # gets one slab, and the slabs cover the lattice once
+    ends, sizes = [], []
 
-    def spy(f, xs):
-        sizes.append(np.size(xs))
+    def ends_spy(f, xs):
+        ends.append(np.size(xs))
         return evaluate_array(f, xs)
 
-    with mock.patch.object(convexity, "evaluate_array", spy):
+    def compile_spy(node, ops):
+        f_array = expr._compile(node, ops)
+
+        def slab_spy(xs):
+            sizes.append(np.size(xs))
+            return f_array(xs)
+        return slab_spy
+
+    with mock.patch.object(convexity, "evaluate_array", ends_spy), \
+            mock.patch.object(convexity, "_compile", compile_spy):
         check_sm_convex(parse("x^(1/2)"), Interval(1.0, 4.0), SMParams(0.5, 0.7),
                         grid=MAX_LATTICE)
-    assert sizes[0] == MAX_LATTICE
-    assert max(sizes[1:]) <= max(convexity._SLAB_POINTS, MAX_LATTICE)
-    assert sum(sizes[1:]) == MAX_LATTICE**3
+    assert ends == [MAX_LATTICE]
+    assert max(sizes) <= max(convexity._SLAB_POINTS, MAX_LATTICE)
+    assert sum(sizes) == MAX_LATTICE**3
+
+
+def test_lattice_compiles_the_integrand_once():
+    # one array form for the xs (inside evaluate_array) and one for every
+    # slab, not one per slab (201 x rows of 3 column blocks each)
+    f, compile_, compiled = parse("x^(1/2)"), expr._compile, []
+
+    def spy(node, ops):
+        if node is f.root:
+            compiled.append(ops)
+        return compile_(node, ops)
+
+    with mock.patch.object(expr, "_compile", spy), mock.patch.object(convexity, "_compile", spy):
+        check_sm_convex(f, Interval(1.0, 4.0), SMParams(0.5, 0.7), grid=MAX_LATTICE)
+    assert compiled == [expr._ARRAY, expr._ARRAY]
 
 
 def test_lattice_memory_is_bounded():

@@ -35,12 +35,14 @@ def _root(expr_fn, x0):
     return float(mpmath.findroot(expr_fn, x0))
 
 
+# The three worked monotone integrals at 50 digits, then as floats.
 # fixed point of a = 1 - (4a)^(1/5) for x^5/4 on [0,1]
-QUINTIC = _root(lambda a: a + (4 * a) ** (mpmath.mpf(1) / 5) - 1, 0.13)
+QUINTIC_50 = mpmath.findroot(lambda a: a + (4 * a) ** (mpmath.mpf(1) / 5) - 1, 0.13)
 # fixed point of a = 4 - sqrt(a) for x^2 on [1,4]: (9 - sqrt(17)) / 2
-SQUARE_14 = float((9 - mpmath.sqrt(17)) / 2)
+SQUARE_14_50 = (9 - mpmath.sqrt(17)) / 2
 # fixed point of a = a^(-1/4) - 1 for 1/x^4 on [1,2]
-QUARTIC = _root(lambda a: a ** (-mpmath.mpf(1) / 4) - 1 - a, 0.32)
+QUARTIC_50 = mpmath.findroot(lambda a: a ** (-mpmath.mpf(1) / 4) - 1 - a, 0.32)
+QUINTIC, SQUARE_14, QUARTIC = float(QUINTIC_50), float(SQUARE_14_50), float(QUARTIC_50)
 # fixed point of a = 1 - sqrt(a) for x^2 on [0,1]: (3 - sqrt(5)) / 2
 SQUARE_01 = float((3 - mpmath.sqrt(5)) / 2)
 
@@ -74,6 +76,16 @@ def test_square_on_one_four():
 def test_reciprocal_quartic():
     res = sugeno_integral(parse("1/x^4"), Interval(1.0, 2.0))
     assert res.value == pytest.approx(QUARTIC, abs=1e-9)
+
+
+@pytest.mark.parametrize("text,a,b,truth", [("x^2", 1.0, 4.0, SQUARE_14_50),
+                                             ("x^5/4", 0.0, 1.0, QUINTIC_50),
+                                             ("1/x^4", 1.0, 2.0, QUARTIC_50)])
+def test_worked_integrals_are_within_the_solver_stop_of_the_truth(text, a, b, truth):
+    # truth, not agreement: the error against the 50-digit root, which the
+    # exact path's 1e-12 bisection stop bounds
+    res = sugeno_integral(parse(text), Interval(a, b))
+    assert abs(mpmath.mpf(res.value) - truth) <= 1e-12
 
 
 def test_square_on_unit_interval():
