@@ -5,12 +5,14 @@ non-increasing G by bisecting on the predicate G(alpha) >= alpha, and returns
 the bracket (alpha_lo, alpha_hi).  This is robust to jump discontinuities in
 G, where a plain root finder on G(alpha) - alpha would fail.  A step needs
 only the side of alpha that G(alpha) lies on, so G may answer it with a bound
-on that side, as the integral's level sets do when the crossing's grid cell
-settles the step.  ``solve_sign_change`` is ordinary bisection for continuous
-sign changes.  Both are entry points over one halving loop, ``_halve``, which
-also refines the integral's level-set crossings directly, because the grid
-already gives the sign at each end of the crossing cell; nothing in the
-package calls ``solve_sign_change`` itself.
+on that side, as the integral's level sets do once a bracket of the
+crossing's refinement settles the step.  ``solve_sign_change`` is ordinary
+bisection for continuous sign changes.  Both are entry points over one
+halving loop, ``_halve``, which also refines the integral's level-set
+crossings directly, because the grid already gives the sign at each end of
+the crossing cell; its h stops that refinement by returning None once the
+bracket settles the step.  Nothing in the package calls
+``solve_sign_change`` itself.
 Neither probes G for monotonicity: the integral's G is non-increasing by
 construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
 Every bisection stops at one absolute width, ``TOL``, or at float resolution.
@@ -32,13 +34,13 @@ TOL = 1e-12
 
 
 def _halve(
-    h: Callable[[float], float], a: float, b: float, keep_positive: bool
-) -> tuple[float, float]:
+    h: Callable[[float], float | None], a: float, b: float, keep_positive: bool
+) -> tuple[float, float] | None:
     """Halve [a, b] until it is narrower than ``TOL`` or float resolution is reached.
 
     A midpoint t replaces ``a`` when (h(t) > 0) == keep_positive and ``b``
     otherwise; an exact h(t) == 0 collapses the bracket to t.  Returns the
-    final (a, b).
+    final (a, b), or None as soon as h(t) is None.
     """
     tol = TOL  # a local name keeps the global lookup out of the loop
     while b - a > tol:
@@ -46,6 +48,8 @@ def _halve(
         if mid <= a or mid >= b:
             break  # float resolution reached
         h_mid = h(mid)
+        if h_mid is None:
+            return None
         if h_mid == 0.0:
             return mid, mid
         if (h_mid > 0.0) == keep_positive:

@@ -35,13 +35,18 @@ The crossing cell's ends come from the grid, which already puts one on each
 side of alpha, so they are not evaluated again: the bisection evaluates only
 midpoints, and an EvalError at a midpoint propagates.
 The threshold solve needs only whether F(alpha) >= alpha, and the refined
-boundary lies inside the crossing cell, so phi of the level lengths at the
-cell's two ends bounds F(alpha).  A step where alpha lies outside those
-bounds by more than 1e-12 * max(1, alpha) is settled without evaluating f;
-only the other steps refine.  The margin is not needed under Lebesgue
-measure, where F is the length itself, but a float phi such as x/(1+x) can
-fall by a few ulps where it should rise.  Each refined length is kept by
-alpha, so the residual at alpha_lo reuses the step that accepted alpha_lo.
+boundary lies inside every bracket of the refinement, from the crossing cell
+down, so phi of the level lengths at a bracket's two ends bounds F(alpha).
+Before each halving, a step where alpha lies outside those bounds by more
+than 1e-12 * max(1, alpha) is settled and answers with the lower bound; phi
+is evaluated only at the end that just moved, and a step the cell's ends
+settle evaluates no f.  The margin is not needed under Lebesgue measure,
+where F is the length itself, but a float phi such as x/(1+x) can fall by a
+few ulps where it should rise.  The fully refined midpoint lies in every
+bracket, so each step decides as full refinement would, and the bracket and
+value are unchanged.  Only a step that no bracket settles refines to full
+depth, and its length is kept by alpha, so the residual at alpha_lo reuses
+it when that step accepted alpha_lo and otherwise refines from the cell.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -173,15 +178,19 @@ class _LevelSets:
         lo, hi = sorted((self.x(idx[i - 1]), self.x(idx[i])))
         return lo, hi
 
-    def _refined_length(self, alpha: float, lo: float, hi: float) -> float:
+    def _refined_length(self, alpha: float, lo: float, hi: float, h=None) -> float | None:
+        """Level length at alpha, its boundary refined in the cell [lo, hi] by halving on
+        ``h`` (f - alpha unless given); None where ``h`` stops the halving."""
         if lo == hi:
             return abs(self._end - lo)
         length = self._refined.get(alpha)
         if length is None:
             # the grid puts f(lo) below alpha when f rises and at or above it when f falls
             falling = self._view[1].step < 0
-            a, b = _halve(lambda t: evaluate(self.f, t) - alpha, lo, hi, falling)
-            length = self._refined[alpha] = abs(self._end - 0.5 * (a + b))
+            bracket = _halve(h or (lambda t: evaluate(self.f, t) - alpha), lo, hi, falling)
+            if bracket is None:
+                return None
+            length = self._refined[alpha] = abs(self._end - 0.5 * (bracket[0] + bracket[1]))
         return length
 
     def _settled_count(self, alpha: float) -> int:
@@ -219,15 +228,28 @@ class _LevelSets:
         return evaluate(self.phi, self.level_length(alpha))
 
     def threshold_step(self, alpha: float) -> float:
-        """F(alpha), or phi at an end of the crossing cell where the ends settle F(alpha) >= alpha."""
+        """F(alpha), or the lower of phi at a crossing bracket's ends, from the first
+        bracket of the refinement that settles F(alpha) >= alpha (see the module docstring)."""
         if not self.exact_boundaries:
             return self.measure(alpha)
-        lo, hi = self._cell(alpha)
-        low, high = sorted(evaluate(self.phi, abs(self._end - x)) for x in (lo, hi))
+        f, phi, end, falling = self.f, self.phi, self._end, self._view[1].step < 0
         margin = _SETTLE_MARGIN * max(1.0, abs(alpha))
-        if low - margin <= alpha <= high + margin:
-            return evaluate(self.phi, self._refined_length(alpha, lo, hi))
-        return low  # the refined boundary lies in [lo, hi], so F(alpha) is on low's side of alpha
+        lo, hi = self._cell(alpha)
+        if lo == hi:
+            return evaluate(phi, abs(end - lo))  # the boundary is a base end: this is F(alpha)
+        ends = [evaluate(phi, abs(end - lo)), evaluate(phi, abs(end - hi))]  # phi at the bracket's a, b
+
+        def h(t):
+            pa, pb = ends  # the boundary is in the bracket, so F(alpha) is between them (to rounding)
+            if not (pa - margin <= alpha <= pb + margin if pa <= pb
+                    else pb - margin <= alpha <= pa + margin):
+                return None  # settled: stop the halving
+            h_t = evaluate(f, t) - alpha
+            ends[(h_t > 0.0) != falling] = evaluate(phi, abs(end - t))  # t replaces a or b, as in _halve
+            return h_t
+
+        length = self._refined_length(alpha, lo, hi, h)
+        return min(ends) if length is None else evaluate(phi, length)
 
 
 def sugeno_integral(

@@ -1,6 +1,6 @@
 """Digest of every benchmark-pool output, per workload and seed.
 
-    PYTHONPATH=src python tests/pool_digest.py [--seeds 301 302 303] [--workload NAME ...]
+    PYTHONPATH=src python tests/pool_digest.py [--seeds 301 302 303] [--workload NAME ...] [--counts]
 
 Run from the repository root.  Builds each workload's pool from ``bench/``
 (read, never changed), calls every operation once in pool order, and prints
@@ -9,9 +9,17 @@ one per line.  An operation that raises contributes the exception's type and
 message instead.  Two commits that print the same lines give the same outputs
 on those pools, so a change meant to keep every answer can be checked with
 one diff of this script's output.
+
+With ``--counts``, each digest line is followed by one that gives the scalar
+evaluations the level-set engine made in that pass, of integrands (f) and of
+distortions (phi, mu(X) included).  They are a deterministic cost figure:
+the same on every run and every host, unlike a timing.  The script measures
+the code under its own root, so a copy of it placed in another checkout
+counts that checkout.
 """
 
 import argparse
+import contextlib
 import hashlib
 import sys
 import warnings
@@ -22,6 +30,28 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import sugeno_bounds as sb  # noqa: E402
 import workloads  # noqa: E402
+from sugeno_bounds import sugeno  # noqa: E402
+
+
+@contextlib.contextmanager
+def scalar_evaluations():
+    """Count the level-set engine's scalar evaluations, of f and of phi, while open."""
+    counts, integrand = {"f": 0, "phi": 0}, [None]
+    evaluate, build = sugeno.evaluate, sugeno._LevelSets.__init__
+
+    def building(self, f, *args):
+        integrand[0] = f  # the integrand of the level sets being built, and then in use
+        build(self, f, *args)
+
+    def counting(g, x):
+        counts["f" if g is integrand[0] else "phi"] += 1
+        return evaluate(g, x)
+
+    sugeno.evaluate, sugeno._LevelSets.__init__ = counting, building
+    try:
+        yield counts
+    finally:
+        sugeno.evaluate, sugeno._LevelSets.__init__ = evaluate, build
 
 
 def pool_digest(name: str, seed: int) -> tuple[int, str]:
@@ -44,11 +74,17 @@ def main(argv=None) -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[301, 302, 303])
     parser.add_argument("--workload", nargs="+", choices=workloads.WORKLOADS,
                         default=list(workloads.WORKLOADS))
+    parser.add_argument("--counts", action="store_true",
+                        help="also print the scalar evaluations of f and phi in each pass")
     args = parser.parse_args(argv)
     for name in args.workload:
         for seed in args.seeds:
-            n, hexdigest = pool_digest(name, seed)
+            with scalar_evaluations() as counts:
+                n, hexdigest = pool_digest(name, seed)
             print(f"{name} seed {seed} ops {n} sha256 {hexdigest}", flush=True)
+            if args.counts:
+                print(f"{name} seed {seed} scalar evaluations f {counts['f']} phi {counts['phi']}",
+                      flush=True)
 
 
 if __name__ == "__main__":
