@@ -45,8 +45,13 @@ where F is the length itself, but a float phi such as x/(1+x) can fall by a
 few ulps where it should rise.  The fully refined midpoint lies in every
 bracket, so each step decides as full refinement would, and the bracket and
 value are unchanged.  Only a step that no bracket settles refines to full
-depth, and its length is kept by alpha, so the residual at alpha_lo reuses
-it when that step accepted alpha_lo and otherwise refines from the cell.
+depth.
+The alpha steps of one integral share a crossing cell and walk it from the
+top, so f(t) and phi(|end - t|) are kept by the point t for the length of
+the call and each point is evaluated once; the residual at alpha_lo re-walks
+its cell on kept values.  evaluate is pure, and f is kept only at midpoints,
+which lie above a >= 0 and so are never a signed zero, so a kept value is
+what evaluating again gives; an EvalError keeps nothing.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -143,7 +148,7 @@ class _LevelSets:
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
         self._kept = (np.inf, -np.inf, None, 0)  # (lo, hi, sorted samples in [lo, hi), count(hi))
-        self._refined = {}  # refined level length by alpha
+        self._f_at, self._phi_at = {}, {}  # f(t) and phi(|end - t|) by the point t
 
     def x(self, i: int) -> float:
         """Coordinate of grid point ``i``: ``np.linspace(a, b, grid)[i]``."""
@@ -178,20 +183,29 @@ class _LevelSets:
         lo, hi = sorted((self.x(idx[i - 1]), self.x(idx[i])))
         return lo, hi
 
+    def _f_of(self, t: float) -> float:
+        """f(t), evaluated once per point; an EvalError stores nothing."""
+        value = self._f_at.get(t)
+        if value is None:
+            value = self._f_at[t] = evaluate(self.f, t)
+        return value
+
+    def _phi_of(self, t: float) -> float:
+        """phi of the level length from t to the level sets' end, evaluated once per point."""
+        value = self._phi_at.get(t)
+        if value is None:
+            value = self._phi_at[t] = evaluate(self.phi, abs(self._end - t))
+        return value
+
     def _refined_length(self, alpha: float, lo: float, hi: float, h=None) -> float | None:
         """Level length at alpha, its boundary refined in the cell [lo, hi] by halving on
         ``h`` (f - alpha unless given); None where ``h`` stops the halving."""
         if lo == hi:
             return abs(self._end - lo)
-        length = self._refined.get(alpha)
-        if length is None:
-            # the grid puts f(lo) below alpha when f rises and at or above it when f falls
-            falling = self._view[1].step < 0
-            bracket = _halve(h or (lambda t: evaluate(self.f, t) - alpha), lo, hi, falling)
-            if bracket is None:
-                return None
-            length = self._refined[alpha] = abs(self._end - 0.5 * (bracket[0] + bracket[1]))
-        return length
+        # the grid puts f(lo) below alpha when f rises and at or above it when f falls
+        falling = self._view[1].step < 0
+        bracket = _halve(h or (lambda t: self._f_of(t) - alpha), lo, hi, falling)
+        return None if bracket is None else abs(self._end - 0.5 * (bracket[0] + bracket[1]))
 
     def _settled_count(self, alpha: float) -> int:
         """Grid points with a value >= alpha; counted neighbours settle or narrow the count."""
@@ -232,24 +246,24 @@ class _LevelSets:
         bracket of the refinement that settles F(alpha) >= alpha (see the module docstring)."""
         if not self.exact_boundaries:
             return self.measure(alpha)
-        f, phi, end, falling = self.f, self.phi, self._end, self._view[1].step < 0
+        f_of, phi_of, falling = self._f_of, self._phi_of, self._view[1].step < 0
         margin = _SETTLE_MARGIN * max(1.0, abs(alpha))
         lo, hi = self._cell(alpha)
         if lo == hi:
-            return evaluate(phi, abs(end - lo))  # the boundary is a base end: this is F(alpha)
-        ends = [evaluate(phi, abs(end - lo)), evaluate(phi, abs(end - hi))]  # phi at the bracket's a, b
+            return phi_of(lo)  # the boundary is a base end: this is F(alpha)
+        ends = [phi_of(lo), phi_of(hi)]  # phi at the bracket's a, b
 
         def h(t):
             pa, pb = ends  # the boundary is in the bracket, so F(alpha) is between them (to rounding)
             if not (pa - margin <= alpha <= pb + margin if pa <= pb
                     else pb - margin <= alpha <= pa + margin):
                 return None  # settled: stop the halving
-            h_t = evaluate(f, t) - alpha
-            ends[(h_t > 0.0) != falling] = evaluate(phi, abs(end - t))  # t replaces a or b, as in _halve
+            h_t = f_of(t) - alpha
+            ends[(h_t > 0.0) != falling] = phi_of(t)  # t replaces a or b, as in _halve
             return h_t
 
         length = self._refined_length(alpha, lo, hi, h)
-        return min(ends) if length is None else evaluate(phi, length)
+        return min(ends) if length is None else evaluate(self.phi, length)
 
 
 def sugeno_integral(

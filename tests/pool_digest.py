@@ -12,7 +12,8 @@ one diff of this script's output.
 
 With ``--counts``, each digest line is followed by one that gives the scalar
 evaluations the level-set engine made in that pass, of integrands (f) and of
-distortions (phi, mu(X) included).  They are a deterministic cost figure:
+distortions (phi, mu(X) included), and the largest f + phi count of any single
+integral in the pass.  They are a deterministic cost figure:
 the same on every run and every host, unlike a timing.  The script measures
 the code under its own root, so a copy of it placed in another checkout
 counts that checkout.
@@ -35,16 +36,20 @@ from sugeno_bounds import sugeno  # noqa: E402
 
 @contextlib.contextmanager
 def scalar_evaluations():
-    """Count the level-set engine's scalar evaluations, of f and of phi, while open."""
-    counts, integrand = {"f": 0, "phi": 0}, [None]
+    """Count the level-set engine's scalar evaluations, of f and of phi, while open,
+    and the most that any one integral made (counted from each level-set build on)."""
+    counts, integrand, current = {"f": 0, "phi": 0, "largest": 0}, [None], [0]
     evaluate, build = sugeno.evaluate, sugeno._LevelSets.__init__
 
     def building(self, f, *args):
-        integrand[0] = f  # the integrand of the level sets being built, and then in use
+        # the integrand of the level sets being built, and then in use; a new integral's count
+        integrand[0], current[0] = f, 0
         build(self, f, *args)
 
     def counting(g, x):
         counts["f" if g is integrand[0] else "phi"] += 1
+        current[0] += 1
+        counts["largest"] = max(counts["largest"], current[0])
         return evaluate(g, x)
 
     sugeno.evaluate, sugeno._LevelSets.__init__ = counting, building
@@ -75,7 +80,8 @@ def main(argv=None) -> None:
     parser.add_argument("--workload", nargs="+", choices=workloads.WORKLOADS,
                         default=list(workloads.WORKLOADS))
     parser.add_argument("--counts", action="store_true",
-                        help="also print the scalar evaluations of f and phi in each pass")
+                        help="also print the scalar evaluations of f and phi in each pass, "
+                             "and the most of any one integral")
     args = parser.parse_args(argv)
     for name in args.workload:
         for seed in args.seeds:
@@ -83,8 +89,8 @@ def main(argv=None) -> None:
                 n, hexdigest = pool_digest(name, seed)
             print(f"{name} seed {seed} ops {n} sha256 {hexdigest}", flush=True)
             if args.counts:
-                print(f"{name} seed {seed} scalar evaluations f {counts['f']} phi {counts['phi']}",
-                      flush=True)
+                print(f"{name} seed {seed} scalar evaluations f {counts['f']} phi {counts['phi']}"
+                      f" largest integral {counts['largest']}", flush=True)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ mpmath root, never copied from the engine under test.
 
 import gc
 import math
+import operator
 import random
 import tracemalloc
 import warnings
@@ -80,14 +81,74 @@ def test_reciprocal_quartic():
     assert res.value == pytest.approx(QUARTIC, abs=1e-9)
 
 
-@pytest.mark.parametrize("text,a,b,truth", [("x^2", 1.0, 4.0, SQUARE_14_50),
-                                             ("x^5/4", 0.0, 1.0, QUINTIC_50),
-                                             ("1/x^4", 1.0, 2.0, QUARTIC_50)])
-def test_worked_integrals_are_within_the_solver_stop_of_the_truth(text, a, b, truth):
+def _monotone_draws(seed, n):
+    # the benchmark's three monotone families (power, reciprocal power,
+    # exponential), each drawn rising and falling (t = b + a - x mirrors a draw on [a, b]),
+    # redrawn until f dips below b - a, so that the Lebesgue integral is an
+    # interior crossing and not the saturated mu(X)
+    rng, i = random.Random(seed), 0
+    while i < n:
+        a = rng.uniform(0.0, 8.0)
+        b = a + rng.uniform(0.5, min(9.0, 10.0 - a))
+        c0, c1 = rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)
+        t = "x" if i % 2 == 0 else f"({a + b!r}-x)"
+        family = (i // 2) % 3
+        if family == 0:
+            src = f"{c0!r}+{c1!r}*{t}^{rng.uniform(0.3, 4.0)!r}"
+        elif family == 1:
+            src = f"{c0!r}+{4 * c1!r}/({t}+{rng.uniform(0.1, 2.0)!r})^{rng.uniform(0.5, 3.0)!r}"
+        else:
+            src = f"{c0!r}+{c1!r}*exp({rng.uniform(0.1, 1.2)!r}*{t})"
+        if np.min(evaluate_array(parse(src), np.linspace(a, b, 101))) < b - a:
+            yield pytest.param(src, Interval(a, b), id=f"draw{i}")
+            i += 1
+
+
+# The benchmark's distortions (bench/gen.py DISTORTIONS), after Lebesgue measure.
+_BENCH_MEASURES = [None, "sqrt(x)", "x^2", "x/(1+x)"]
+# expr._compile's operator table over 50-digit mpmath numbers; float literals stay exact.
+_MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow, "pow": operator.pow, "exp": mpmath.exp, "sqrt": mpmath.sqrt,
+           "ln": mpmath.log, "abs": abs}
+
+
+def _bisected_truth(src, base, phi):
+    """S of a monotone ``src`` over ``base`` under ``phi`` at 50 digits: f at the crossing
+    of f(x) = phi(|end - x|), found by bisection, or mu(X) where f stays above phi."""
+    f = expr._compile(parse(src).root, _MP_OPS)
+    mu = expr._compile(parse(phi or "x").root, _MP_OPS)
+    a, b = mpmath.mpf(base.a), mpmath.mpf(base.b)
+    start, end = (a, b) if f(a) < f(b) else (b, a)  # the level sets run on to end
+    if f(start) >= mu(b - a):
+        return mu(b - a)
+    below, above = start, end  # f < phi(|end - x|) at below, and >= at above
+    for _ in range(200):  # 2^-200 of the base: past 50 digits
+        mid = (below + above) / 2
+        if f(mid) >= mu(abs(end - mid)):
+            above = mid
+        else:
+            below = mid
+    return f(above)
+
+
+@pytest.mark.parametrize("src,base,phi,truth", [
+    pytest.param("x^2", Interval(1.0, 4.0), None, SQUARE_14_50, id="x^2-1.0-4.0-truth0"),
+    pytest.param("x^5/4", Interval(0.0, 1.0), None, QUINTIC_50, id="x^5/4-0.0-1.0-truth1"),
+    pytest.param("1/x^4", Interval(1.0, 2.0), None, QUARTIC_50, id="1/x^4-1.0-2.0-truth2"),
+    *(pytest.param(*draw.values, phi, None, id=f"{draw.id}-seed{seed}-{phi}")
+      for seed in (2024, 11) for draw in _monotone_draws(seed, 6) for phi in _BENCH_MEASURES)])
+def test_worked_integrals_are_within_the_solver_stop_of_the_truth(src, base, phi, truth):
     # truth, not agreement: the error against the 50-digit root, which the
-    # exact path's 1e-12 bisection stop bounds
-    res = sugeno_integral(parse(text), Interval(a, b))
-    assert abs(mpmath.mpf(res.value) - truth) <= 1e-12
+    # exact path's 1e-12 bisection stop bounds.  Under a distortion, F is phi
+    # of a length refined to 1e-12, so a steep phi adds phi's slope times that:
+    # the worst draw here reads 1.8e-12 at S = 33.4 under x^2, and 9.3e-13
+    # under Lebesgue measure.
+    measure = None if phi is None else distortion(parse(phi), base)
+    res = sugeno_integral(parse(src), base, measure)
+    if truth is None:
+        truth = _bisected_truth(src, base, phi)
+    stop = 1e-12 if phi is None else 1e-12 * max(1.0, res.value)
+    assert abs(mpmath.mpf(res.value) - truth) <= stop
 
 
 @pytest.mark.parametrize("f,reflected,a,b", [("x^2", "(5-x)^2", 1.0, 4.0),
@@ -512,15 +573,18 @@ def test_monotone_integral_scalar_evaluations(monkeypatch):
     # the boundary bisection evaluates only midpoints (the grid has the cell
     # ends) and stops at the first bracket whose ends settle the step, with
     # phi evaluated at the end that moved; a step that the crossing cell's
-    # ends settle evaluates no f, the residual reuses the refinement of the
-    # step that accepted alpha_lo, and the threshold solve does not probe F.
-    # Refining every unsettled step to full depth made 650 f and 116 phi
-    # evaluations, and 600 and 112 under sqrt(x).
-    for phi, truth, max_f, max_phi in [(None, SQUARE_14, 340, 430),
-                                       ("sqrt(x)", SQUARE_14_SQRT, 315, 400)]:
+    # ends settle evaluates no f, and the threshold solve does not probe F.
+    # f and phi are evaluated once per point for the whole integral, so the
+    # alpha steps that share a crossing cell, and the residual at alpha_lo,
+    # re-walk it on remembered values: 27 f and 64 phi evaluations, and 25
+    # and 58 under sqrt(x).  Re-evaluating them made 335 and 428, and 310 and
+    # 399; refining every unsettled step to full depth made 650 and 116.
+    for phi, truth, max_f, max_phi in [(None, SQUARE_14, 27, 64),
+                                       ("sqrt(x)", SQUARE_14_SQRT, 25, 58)]:
         res, calls = _scalar_calls(monkeypatch, "x^2", Interval(1.0, 4.0), phi)
         assert res.value == pytest.approx(truth, abs=1e-11)
         assert calls["f"] <= max_f and calls["phi"] <= max_phi, (phi, calls)
+        assert calls["f"] + calls["phi"] < 100, (phi, calls)  # ROADMAP item 2's target
 
 
 @pytest.mark.filterwarnings("ignore:excluded 1 non-evaluable")
@@ -528,39 +592,71 @@ def test_dropped_bracket_is_not_refined(monkeypatch):
     # the exact solve's crossing is in the excluded cell at x = 1, so its
     # bracket is dropped before any residual and only the counted solve's
     # residual is taken: no integrand evaluation at all; a step whose
-    # boundary is a base end evaluates phi once
+    # boundary is a base end evaluates phi there once per integral, not once
+    # per step (99 when each step evaluated it)
     res, calls = _scalar_calls(monkeypatch, "0.000000000001/(1-x)", Interval(0.0, 1.0))
     assert repr(res) == ("IntegralResult(value=9.999985195463523e-08, "
                          "residual=9.899900149045356e-06, "
                          "alpha_bracket=(9.999985195463523e-08, 1.00000761449337e-07), "
                          "grid_points=100001)")
-    assert calls == {"f": 0, "phi": 99}, calls
+    assert calls == {"f": 0, "phi": 48}, calls
 
 
-def _monotone_draws(seed, n):
-    # the benchmark's three monotone families (power, reciprocal power,
-    # exponential), each drawn rising and falling (t = b + a - x mirrors a draw on [a, b]),
-    # redrawn until f dips below b - a, so that the Lebesgue integral is an
-    # interior crossing and not the saturated mu(X)
-    rng, i = random.Random(seed), 0
-    while i < n:
-        a = rng.uniform(0.0, 8.0)
-        b = a + rng.uniform(0.5, min(9.0, 10.0 - a))
-        c0, c1 = rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)
-        t = "x" if i % 2 == 0 else f"({a + b!r}-x)"
-        family = (i // 2) % 3
-        if family == 0:
-            src = f"{c0!r}+{c1!r}*{t}^{rng.uniform(0.3, 4.0)!r}"
-        elif family == 1:
-            src = f"{c0!r}+{4 * c1!r}/({t}+{rng.uniform(0.1, 2.0)!r})^{rng.uniform(0.5, 3.0)!r}"
-        else:
-            src = f"{c0!r}+{c1!r}*exp({rng.uniform(0.1, 1.2)!r}*{t})"
-        if np.min(evaluate_array(parse(src), np.linspace(a, b, 101))) < b - a:
-            yield pytest.param(src, Interval(a, b), id=f"draw{i}")
-            i += 1
+class _Forgetful(dict):
+    """A memo that stores nothing, so every lookup misses and every point is evaluated."""
+
+    def __setitem__(self, key, value):
+        pass
 
 
-_MEASURES = [None, "sqrt(x)", "x^2", "x/(1+x)", "x^3-x^2+x", "(x+1e10)-1e10"]
+@pytest.mark.parametrize("phi", _BENCH_MEASURES)
+@pytest.mark.parametrize("src,base", [*_monotone_draws(2024, 6),
+                                      pytest.param("x^2", Interval(1.0, 4.0), id="square"),
+                                      pytest.param("x^5/4", Interval(0.0, 1.0), id="quintic"),
+                                      pytest.param("1/x^4", Interval(1.0, 2.0), id="quartic")])
+def test_remembered_evaluations_change_no_answer(monkeypatch, src, base, phi):
+    # f and phi are pure, so a remembered value is what evaluating the point
+    # again gives
+    res, calls = _scalar_calls(monkeypatch, src, base, phi)
+    build = sugeno._LevelSets.__init__
+
+    def forgetful_build(self, *args):
+        build(self, *args)
+        self._f_at, self._phi_at = _Forgetful(), _Forgetful()
+
+    monkeypatch.setattr(sugeno._LevelSets, "__init__", forgetful_build)
+    forgot, forgot_calls = _scalar_calls(monkeypatch, src, base, phi)
+    assert res == forgot
+    assert res.grid_points is None
+    if res.alpha_bracket[0] < res.alpha_bracket[1]:  # an interior crossing, not mu(X)
+        assert calls["f"] < forgot_calls["f"], (calls, forgot_calls)
+    assert calls["phi"] < forgot_calls["phi"], (calls, forgot_calls)
+
+
+def test_settle_margin_covers_a_phi_that_falls_within_the_distortion_slack(monkeypatch):
+    # phi rises with slope 1 + 2.5e-7 and falls by 2.5e-7 * 2^-19 = 4.8e-13
+    # wherever x + 1e10 rounds up to its next float, so distortion() accepts
+    # it (it allows falls up to 1e-12).  At alpha, the level length is the
+    # crossing of f = k*x refined just past such a fall: the exact F(alpha) is
+    # below alpha, while phi at both ends of the last bracket the refinement
+    # checks is above it.  Settling there without the margin would accept
+    # alpha; the margin of 1e-12 * max(1, alpha) lets the step refine on.
+    base = Interval(0.0, 1.0)
+    phi = distortion(parse("x+2.5e-07*(x-((x+1e10)-1e10))"), base)
+    f, alpha = parse("1.0000038147052648*x"), 0.50000095367438
+
+    def step_and_exact(margin):
+        monkeypatch.setattr(sugeno, "_SETTLE_MARGIN", margin)
+        levels = sugeno._LevelSets(f, base, phi, DEFAULT_GRID)
+        return levels.threshold_step(alpha), levels.measure(alpha)
+
+    step, exact = step_and_exact(sugeno._SETTLE_MARGIN)
+    assert exact < alpha and step < alpha
+    step, exact = step_and_exact(0.0)
+    assert exact < alpha <= step  # the wrong side: this case needs the margin
+
+
+_MEASURES = [*_BENCH_MEASURES, "x^3-x^2+x", "(x+1e10)-1e10"]
 _JUMP = "1-(abs(x-1)-(x-1))/2+(abs(x-2.8)+(x-2.8))/2"  # x, then 1 on [1, 2.8], then x - 1.8
 
 
