@@ -177,5 +177,4 @@ def envelope(fa: float, fb: float, base: Interval, p: SMParams) -> FunctionExpr:
     scale = fb - p.m * fa
     t = BinOp("/", BinOp("-", Var(), Num(left)), Num(width))
     root = BinOp("+", Num(offset), BinOp("*", BinOp("^", t, Num(p.s)), Num(scale)))
-    text = f"({offset!r})+(((x-({left!r}))/({width!r}))^({p.s!r}))*({scale!r})"
-    return FunctionExpr(root, text)
+    return FunctionExpr(root)

@@ -91,38 +91,24 @@ Node = Union[Num, Var, Neg, BinOp, Call]
 
 FUNCTIONS = {"sqrt": 1, "exp": 1, "ln": 1, "abs": 1, "pow": 2}
 
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OP_CHARS = "+-*/^(),"
+# whitespace (``\s`` is exactly ``str.isspace``), then one token or none
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),]))?")
 MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(pos, f"unexpected character {ch!r}")
-    tokens.append(("end", "", n))
-    return tokens
+    tokens, pos = [], 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind is None:
+            if pos < len(text):
+                raise ParseError(pos, f"unexpected character {text[pos]!r}")
+            tokens.append(("end", "", pos))
+            return tokens
+        tokens.append((kind, m[kind], m.start(kind)))
 
 
 class _Parser:
@@ -131,70 +117,56 @@ class _Parser:
         self.i = 0
         self.depth = 0  # nesting of factor(), which every recursion passes through
 
-    def peek(self):
-        return self.tokens[self.i]
+    def take(self, ops: str) -> str | None:
+        """Consume and return the next token if it is an operator in ``ops``."""
+        kind, text, _ = self.tokens[self.i]
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        return None
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(pos, f"expected {op!r}")
-        return self.advance()
+    def expect(self, op: str):
+        if not self.take(op):
+            raise ParseError(self.tokens[self.i][2], f"expected {op!r}")
 
     def parse(self) -> Node:
         node = self.expr()
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(pos, f"unexpected trailing input {text!r}")
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+        while op := self.take("+-"):
+            node = BinOp(op, node, self.term())
+        return node
 
     def term(self) -> Node:
         node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
+        while op := self.take("*/"):
+            node = BinOp(op, node, self.factor())
+        return node
 
     def factor(self) -> Node:
-        kind, text, pos = self.peek()
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(pos, f"expression nests deeper than {MAX_DEPTH} levels")
-        if kind == "op" and text == "-":
-            self.advance()
-            node = Neg(self.factor())
-        else:
-            node = self.power()
+            raise ParseError(self.tokens[self.i][2], f"expression nests deeper than {MAX_DEPTH} levels")
+        node = Neg(self.factor()) if self.take("-") else self.power()
         self.depth -= 1
         return node
 
     def power(self) -> Node:
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+        return BinOp("^", base, self.factor()) if self.take("^") else base
 
     def atom(self) -> Node:
-        kind, text, pos = self.advance()
+        if self.take("("):
+            node = self.expr()
+            self.expect(")")
+            return node
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
             return Num(float(text))
         if kind == "name":
@@ -203,23 +175,14 @@ class _Parser:
             arity = FUNCTIONS.get(text)
             if arity is None:
                 raise ParseError(pos, f"unknown identifier {text!r}")
-            self.expect_op("(")
+            self.expect("(")
             args = [self.expr()]
-            while True:
-                k2, t2, _ = self.peek()
-                if k2 == "op" and t2 == ",":
-                    self.advance()
-                    args.append(self.expr())
-                else:
-                    break
-            self.expect_op(")")
+            while self.take(","):
+                args.append(self.expr())
+            self.expect(")")
             if len(args) != arity:
                 raise ParseError(pos, f"{text} takes {arity} argument(s), got {len(args)}")
             return Call(text, tuple(args))
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
         if kind == "end":
             raise ParseError(pos, "unexpected end of input")
         raise ParseError(pos, f"unexpected {text!r}")
@@ -230,7 +193,6 @@ class FunctionExpr:
     """An immutable parsed expression in the single variable ``x``."""
 
     root: Node
-    source_text: str
 
     # compiled on first use; not part of equality, hashing, repr or pickled state
     @cached_property
@@ -238,7 +200,7 @@ class FunctionExpr:
         return _compile(self.root, _SCALAR)
 
     def __getstate__(self):
-        return {"root": self.root, "source_text": self.source_text}
+        return {"root": self.root}
 
 
 def _tree_depth(root: Node) -> int:
@@ -261,7 +223,7 @@ def parse(text: str) -> FunctionExpr:
     root = _Parser(text).parse()
     if _tree_depth(root) > MAX_DEPTH:
         raise ParseError(0, f"expression tree is deeper than {MAX_DEPTH} levels")
-    return FunctionExpr(root, text)
+    return FunctionExpr(root)
 
 
 def _compile(node: Node, ops: dict):
@@ -403,4 +365,4 @@ def evaluate_array(f: FunctionExpr, xs) -> np.ndarray:
 
 def product(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:
     """Pointwise product of two parsed expressions."""
-    return FunctionExpr(BinOp("*", f.root, g.root), f"({f.source_text})*({g.source_text})")
+    return FunctionExpr(BinOp("*", f.root, g.root))

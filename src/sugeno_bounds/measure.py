@@ -43,7 +43,7 @@ class Interval:
         return self.b - self.a
 
 
-_LEBESGUE = FunctionExpr(Var(), "x")
+_LEBESGUE = FunctionExpr(Var())
 
 
 def lebesgue() -> FunctionExpr:

@@ -105,7 +105,7 @@ def constant(value: float) -> FunctionExpr:
     v = float(value)
     if not math.isfinite(v):
         raise ValueError("constant must be finite")
-    return FunctionExpr(Num(v), repr(v))
+    return FunctionExpr(Num(v))
 
 
 def _walk(node: Node, x, ops: dict):

@@ -21,7 +21,7 @@ from sugeno_bounds.cli import build_parser, run
 from sugeno_bounds.expr import FunctionExpr, evaluate, parse
 from test_expr import _trees
 
-_exprs = _trees(4).map(lambda node: to_text(FunctionExpr(node, "<built>")))
+_exprs = _trees(4).map(lambda node: to_text(FunctionExpr(node)))
 _formats = st.sampled_from(["text", "json", "csv"])
 _params = st.floats(min_value=0.01, max_value=1.0)
 

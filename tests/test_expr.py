@@ -93,6 +93,26 @@ def test_parse_error_positions():
         parse("sqrt(x, 2)")
 
 
+@pytest.mark.parametrize("text, position, message", [
+    (" é", 1, "unexpected character 'é'"),
+    ("foo(x)", 0, "unknown identifier 'foo'"),
+    ("sqrt x", 5, "expected '('"),
+    ("sqrt(x", 6, "expected ')'"),
+    ("pow(x)", 0, "pow takes 2 argument(s), got 1"),
+    ("x)", 1, "unexpected trailing input ')'"),
+    ("x+  ", 4, "unexpected end of input"),
+    (",", 0, "unexpected ','"),
+    ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH,
+     f"expression nests deeper than {MAX_DEPTH} levels"),
+    ("+".join(["x"] * (MAX_DEPTH + 1)), 0, f"expression tree is deeper than {MAX_DEPTH} levels"),
+])
+def test_parse_error_message_and_position(text, position, message):
+    # one input per ParseError message the parser can raise
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.position, exc.value.message) == (position, message)
+
+
 def test_eval_domain_errors():
     with pytest.raises(EvalError):
         evaluate(parse("sqrt(x-2)"), 1.0)
@@ -294,7 +314,7 @@ def _trees(depth):
 @settings(max_examples=150, deadline=None)
 @given(tree=_trees(4), x=st.floats(min_value=0.1, max_value=3.0, allow_nan=False))
 def test_roundtrip_random_trees(tree, x):
-    f = FunctionExpr(tree, "<built>")
+    f = FunctionExpr(tree)
     text = to_text(f)
     assert evaluate(parse(text), x) == evaluate(f, x)
 
@@ -315,7 +335,7 @@ def _same_definedness(f, x, rel=0.0):
 @settings(max_examples=150, deadline=None)
 @given(tree=_trees(4), x=st.floats(min_value=0.1, max_value=3.0, allow_nan=False))
 def test_scalar_and_array_agree_on_trees(tree, x):
-    _same_definedness(FunctionExpr(tree, "<built>"), x)
+    _same_definedness(FunctionExpr(tree), x)
 
 
 _wide_leaf = st.one_of(
@@ -339,7 +359,7 @@ def _wide_trees(depth):
 @settings(max_examples=300, deadline=None)
 @given(tree=_wide_trees(4), x=st.floats(min_value=-1e3, max_value=1e3))
 def test_scalar_and_array_agree_on_wide_trees(tree, x):
-    _same_definedness(FunctionExpr(tree, "<built>"), x, rel=1e-9)
+    _same_definedness(FunctionExpr(tree), x, rel=1e-9)
 
 
 @pytest.mark.parametrize("source,x", [
@@ -416,7 +436,7 @@ _WRAPS = [lambda p: p, lambda p: BinOp("/", Num(1.0), p), lambda p: Call("exp", 
          wrap=_WRAPS[1])
 def test_array_power_matches_every_operand_checks(xs, base, exponent, call, wrap):
     power = Call("pow", (base, exponent)) if call else BinOp("^", base, exponent)
-    f = FunctionExpr(wrap(power), "<built>")
+    f = FunctionExpr(wrap(power))
     got, want = evaluate_array(f, xs), evaluate_array_every_operand(f, xs)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0

@@ -257,7 +257,7 @@ def test_chunked_grid_matches_linspace(tree, a, width, grid, hole, picks):
     xs = np.linspace(base.a, base.b, grid)
     if hole is not None and grid > 1000:  # one excluded point of 101 is over the 0.1% limit
         tree = _undefined_at(tree, float(xs[hole % grid]))
-    f = FunctionExpr(tree, "<built>")
+    f = FunctionExpr(tree)
     levels = sugeno._LevelSets(f, base, lebesgue(), grid)
     assert levels.vals.tobytes() == evaluate_array(f, xs).tobytes()
     edges = [i for k in range(_CHUNK, grid, _CHUNK) for i in (k - 1, k)]
