@@ -18,6 +18,7 @@ from .exceptions import (
     EvalError,
     InvalidDistortionError,
     NegativeFunctionError,
+    NoAnswerError,
     ParseError,
     UnsupportedCaseError,
 )
@@ -31,6 +32,6 @@ __all__ = [
     "__version__",
     "parse", "Interval", "SMParams", "lebesgue", "distortion",
     "sugeno_integral", "check_sm_convex", "hadamard_bound", "verify_hadamard",
-    "ParseError", "EvalError", "BracketError", "DomainError",
+    "NoAnswerError", "ParseError", "EvalError", "BracketError", "DomainError",
     "NegativeFunctionError", "UnsupportedCaseError", "InvalidDistortionError",
 ]

@@ -23,9 +23,11 @@ nested deeper than ``expr.MAX_DEPTH`` levels is a parse error); 3 unsupported
 endpoint case, negative function value (``bound`` checks the endpoint
 values of f and g), domain violation (a bound threshold that overflows),
 evaluation failure, or a solver bracket that is not finite or does not
-enclose a solution.  A reader that closes stdout early (``| head -1``) gets
-exit code 0 and no traceback.  Each warning goes to stderr as one
-``warning: <message>`` line, like the ``error: <message>`` lines.
+enclose a solution.  The code follows the error's type: a ``ValueError``
+exits 2 and an ``exceptions.NoAnswerError`` exits 3.  A reader that closes
+stdout early (``| head -1``) gets exit code 0 and no traceback.  Each warning
+goes to stderr as one ``warning: <message>`` line, like the
+``error: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -49,15 +51,7 @@ from .bounds import (
 )
 from .convexity import (DEFAULT_LATTICE, MAX_LATTICE, ConvexityVerdict, EndpointData, SMParams,
                         check_sm_convex, envelope)
-from .exceptions import (
-    BracketError,
-    DomainError,
-    EvalError,
-    InvalidDistortionError,
-    NegativeFunctionError,
-    ParseError,
-    UnsupportedCaseError,
-)
+from .exceptions import NoAnswerError
 from .expr import FunctionExpr, parse, product
 from .measure import Interval, distortion, lebesgue
 from .sugeno import DEFAULT_GRID, MAX_GRID, IntegralResult, sugeno_integral
@@ -165,19 +159,21 @@ def reproduce(case: str = "all") -> list[ReproduceRow]:
 # report serialization
 
 
-def _fmt6(value) -> str:
+def _cell(value, fmt: str = "text"):
+    """A report cell: text has 6 significant digits and '-' for None; csv has the
+    value as it is and an empty cell for None."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".6g")
     if value is None:
-        return "-"
-    return str(value)
+        return "-" if fmt == "text" else ""
+    if fmt != "text":
+        return value
+    return format(value, ".6g") if isinstance(value, float) else str(value)
 
 
 def _text_pairs(pairs) -> str:
     width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k:<{width}}  {_fmt6(v)}" for k, v in pairs)
+    return "\n".join(f"{k:<{width}}  {_cell(v)}" for k, v in pairs)
 
 
 def _csv_text(header, rows) -> str:
@@ -186,14 +182,6 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
 
 
 def _report_fields(report) -> list[tuple[str, object]]:
@@ -249,8 +237,8 @@ def emit_report(report, fmt: str = "text") -> str:
             return _csv_text(_REPRODUCE_HEADER, [astuple(r) for r in report])
         header = ("case", "quantity", "expected", "computed", "diff", "verdict")
         cells = [header] + [
-            (r.case_id, r.quantity, _fmt6(r.paper_value), _fmt6(r.computed_value),
-             _fmt6(r.abs_diff), r.verdict)
+            (r.case_id, r.quantity, _cell(r.paper_value), _cell(r.computed_value),
+             _cell(r.abs_diff), r.verdict)
             for r in report
         ]
         widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
@@ -263,7 +251,7 @@ def emit_report(report, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(dict(pairs), allow_nan=False)
     if fmt == "csv":
-        return _csv_text([k for k, _ in pairs], [[_csv_cell(v) for _, v in pairs]])
+        return _csv_text([k for k, _ in pairs], [[_cell(v, fmt) for _, v in pairs]])
     return _text_pairs(pairs)
 
 
@@ -364,13 +352,9 @@ def run(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return _dispatch(args)
-    except (ParseError, ValueError) as exc:
+    except (ValueError, NoAnswerError) as exc:  # a usage error, or an input with no answer
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedCaseError, DomainError, NegativeFunctionError,
-            EvalError, InvalidDistortionError, BracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 def main() -> None:

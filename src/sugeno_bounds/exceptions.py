@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A usage error (a malformed expression, an option out of range) is a
+``ValueError``; an input that is well formed but has no answer raises a
+``NoAnswerError``.  The CLI maps the first to exit code 2 and the second to 3.
+"""
 
 from __future__ import annotations
 
 __all__ = [
+    "NoAnswerError",
     "ParseError",
     "EvalError",
     "BracketError",
@@ -13,7 +19,11 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class NoAnswerError(Exception):
+    """The input is well formed but has no answer."""
+
+
+class ParseError(ValueError):
     """Expression text could not be parsed.
 
     ``position`` is the character offset of the offending token in the
@@ -26,19 +36,19 @@ class ParseError(Exception):
         self.message = message
 
 
-class EvalError(Exception):
+class EvalError(NoAnswerError):
     """An expression could not be evaluated to a finite real."""
 
 
-class BracketError(Exception):
+class BracketError(NoAnswerError):
     """A bisection bracket does not enclose a solution."""
 
 
-class DomainError(Exception):
+class DomainError(NoAnswerError):
     """An argument lies outside the mathematically valid domain."""
 
 
-class NegativeFunctionError(Exception):
+class NegativeFunctionError(NoAnswerError):
     """A function that must be non-negative (an integrand, a bound factor) is negative somewhere."""
 
     def __init__(self, witness_x: float, value: float):
@@ -47,9 +57,9 @@ class NegativeFunctionError(Exception):
         self.value = value
 
 
-class UnsupportedCaseError(Exception):
+class UnsupportedCaseError(NoAnswerError):
     """The endpoint configuration admits no supported bound or distribution."""
 
 
-class InvalidDistortionError(Exception):
+class InvalidDistortionError(NoAnswerError):
     """A distortion map violates phi(0) = 0 or monotonicity."""

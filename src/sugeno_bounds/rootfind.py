@@ -44,7 +44,7 @@ def _halve(
     """
     tol = TOL  # a local name keeps the global lookup out of the loop
     while b - a > tol:
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b can overflow near the float limit
         if mid <= a or mid >= b:
             break  # float resolution reached
         h_mid = h(mid)
@@ -100,4 +100,4 @@ def solve_sign_change(
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise BracketError(f"no sign change: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
     a, b = _halve(g, lo, hi, g_lo > 0.0)
-    return 0.5 * (a + b)  # a tie leaves a == b, and 0.5 * (t + t) == t
+    return 0.5 * a + 0.5 * b  # a tie leaves a == b, and 0.5 * t + 0.5 * t == t for a normal t

@@ -20,17 +20,17 @@ at the default grid, 80 MB at the cap).  Values that are not finite become
 NaN in one pass over the grid, as ``evaluate_array`` gives them.  When
 the sampled values are monotone, the level-set boundary is refined by
 bisection and the level set is an exact interval; otherwise the measure
-falls back to grid counting.  A count is non-increasing in alpha, so an
-alpha already counted takes its count again, and an alpha between two counted
-ones with equal counts takes that count unscanned.  Where the two counts
-differ by at most grid // 32, only the samples in [alpha_L, alpha_R) can lie
-on either side of alpha: they are extracted once, sorted and kept with
-count(alpha_R), and the count at any alpha in [alpha_L, alpha_R] is
-count(alpha_R) plus the kept samples >= alpha, found by binary search.  The
-bisection's later brackets lie inside the kept one, so it makes no further
-pass over the grid.  The counts are exact, and a NaN sample falls in no
-subset, so this gives what counting the whole grid gives; other alphas
-count the whole grid.
+falls back to grid counting.  A count is non-increasing in alpha, so where
+the counts of the nearest alphas counted on the whole grid, alpha_L < alpha <
+alpha_R, differ by at most grid // 32, only the samples in [alpha_L,
+alpha_R) can lie on either side of alpha: they are extracted once, sorted
+and kept with count(alpha_R) (equal counts keep none), and the count at any
+alpha in [alpha_L, alpha_R] is count(alpha_R) plus the kept samples >=
+alpha, found by binary search.  The bisection's later brackets, and the
+residual at alpha_lo, lie inside the kept one, so it makes no further pass
+over the grid.  The counts are exact, and a NaN sample falls in no subset,
+so this gives what counting the whole grid gives; other alphas count the
+whole grid.
 The crossing cell's ends come from the grid, which already puts one on each
 side of alpha, so they are not evaluated again: the bisection evaluates only
 midpoints, and an EvalError at a midpoint propagates.
@@ -205,30 +205,26 @@ class _LevelSets:
         # the grid puts f(lo) below alpha when f rises and at or above it when f falls
         falling = self._view[1].step < 0
         bracket = _halve(h or (lambda t: self._f_of(t) - alpha), lo, hi, falling)
-        return None if bracket is None else abs(self._end - 0.5 * (bracket[0] + bracket[1]))
+        return None if bracket is None else abs(self._end - (0.5 * bracket[0] + 0.5 * bracket[1]))
 
     def _settled_count(self, alpha: float) -> int:
-        """Grid points with a value >= alpha; counted neighbours settle or narrow the count."""
-        alphas, counts = self._counted
-        k = bisect.bisect_left(alphas, alpha)
-        if k < len(alphas) and alphas[k] == alpha:
-            return counts[k]
-        if 0 < k < len(alphas) and counts[k - 1] == counts[k]:
-            return counts[k]  # the count is non-increasing, so it is settled between them
+        """Grid points with a value >= alpha; the kept bracket answers, or counted
+        neighbours narrow it, and any other alpha counts the whole grid."""
         lo, hi, samples, count_hi = self._kept
-        if not lo <= alpha <= hi and 0 < k < len(alphas) \
-                and counts[k - 1] - counts[k] <= self.grid // _NARROW_SHARE:
-            # only the samples in [lo, hi) can lie on either side of alpha: keep them sorted
-            lo, hi, count_hi = alphas[k - 1], alphas[k], counts[k]
-            samples = np.sort(self.vals[(self.vals >= lo) & (self.vals < hi)])
-            self._kept = (lo, hi, samples, count_hi)
-        if lo <= alpha <= hi:
-            count = count_hi + len(samples) - int(np.searchsorted(samples, alpha, "left"))
-        else:
-            count = self._count(alpha)
-        alphas.insert(k, alpha)
-        counts.insert(k, count)
-        return count
+        if not lo <= alpha <= hi:
+            alphas, counts = self._counted
+            k = bisect.bisect_left(alphas, alpha)
+            if 0 < k < len(alphas) and counts[k - 1] - counts[k] <= self.grid // _NARROW_SHARE:
+                # only the samples in [lo, hi) can lie on either side of alpha: keep them sorted
+                lo, hi, count_hi = alphas[k - 1], alphas[k], counts[k]
+                samples = np.sort(self.vals[(self.vals >= lo) & (self.vals < hi)])
+                self._kept = (lo, hi, samples, count_hi)
+            else:
+                count = self._count(alpha)
+                alphas.insert(k, alpha)
+                counts.insert(k, count)
+                return count
+        return count_hi + len(samples) - int(np.searchsorted(samples, alpha, "left"))
 
     def _count(self, alpha: float) -> int:
         return int(np.count_nonzero(self.vals >= alpha))

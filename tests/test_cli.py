@@ -13,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from sugeno_bounds.cli import emit_report, main, reproduce, run
+from sugeno_bounds import exceptions
+from sugeno_bounds.cli import _dispatch, build_parser, emit_report, main, reproduce, run
 from sugeno_bounds.convexity import SMParams, envelope
+from sugeno_bounds.exceptions import (BracketError, DomainError, EvalError, InvalidDistortionError,
+                                     NegativeFunctionError, NoAnswerError, ParseError,
+                                     UnsupportedCaseError)
 from sugeno_bounds.expr import product
 from sugeno_bounds.measure import Interval
 from sugeno_bounds.sugeno import MAX_GRID, IntegralResult, sugeno_integral
@@ -363,6 +367,46 @@ def test_library_usage_errors_are_value_errors():
         reproduce("9")
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         emit_report(IntegralResult(0.5, 0.0, (0.5, 0.5)), "xml")
+
+
+_ERROR_TABLE = [  # one input per library error class: its exit code and its error line
+    (ParseError, 2, ["integrate", "--f", "sqrt(", "--interval", "0,1"],
+     "unexpected end of input (at position 5)"),
+    (ValueError, 2, ["integrate", "--f", "x", "--interval", "0,1", "--grid", "5"],
+     "grid must be between 101 and 10000000 points, got 5"),
+    (DomainError, 3, ["integrate", "--f", "x", "--interval=-1,1"],
+     "intervals live on the non-negative half-line"),
+    (NegativeFunctionError, 3, ["integrate", "--f=-x", "--interval", "0,1"],
+     "function is negative at x=1.0: -1.0"),
+    (UnsupportedCaseError, 3, ["bound", "--f", "x", "--g", "2-x", "--interval", "0,1",
+                               "--s", "1", "--m", "1"],
+     "no envelope distribution for mixed endpoints: f(b)-m*f(a)=1.0, g(b)-m*g(a)=-1.0"),
+    (InvalidDistortionError, 3, ["integrate", "--f", "x", "--interval", "0,1", "--measure", "1-x"],
+     "distortion map must vanish at 0, got 1.0"),
+    (EvalError, 3, ["integrate", "--f", "exp(x)", "--interval", "0,800"],
+     "integrand is not evaluable at 11278 of 100001 grid points"),
+    (BracketError, 3, ["bound", "--f", "x", "--g", "x", "--interval", "0,1e300",
+                       "--s", "1", "--m", "1"],
+     "need finite lo < hi, got [0.0, inf]"),
+]
+
+
+@pytest.mark.parametrize("error,code,argv,message", _ERROR_TABLE,
+                         ids=[error.__name__ for error, *_ in _ERROR_TABLE])
+def test_each_error_class_has_its_exit_code(capsys, error, code, argv, message):
+    with pytest.raises(error) as raised:
+        _dispatch(build_parser().parse_args(argv))
+    assert type(raised.value) is error
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_each_error_class_is_a_usage_error_or_has_no_answer():
+    # the CLI's exit code comes from this base: ValueError exits 2, NoAnswerError 3
+    for name in exceptions.__all__:
+        if name != "NoAnswerError":
+            error = getattr(exceptions, name)
+            assert issubclass(error, ValueError) != issubclass(error, NoAnswerError), name
 
 
 def test_byte_identical_determinism():

@@ -26,8 +26,14 @@ _formats = st.sampled_from(["text", "json", "csv"])
 _params = st.floats(min_value=0.01, max_value=1.0)
 
 
+# intervals where a + b passes the float limit, so a midpoint halves each end first
+_HUGE_INTERVALS = ["0.0,9e+307", "0.0,1.7e+308", "1e+307,1.7e+308", "8e+307,1.79e+308"]
+
+
 @st.composite
 def _interval(draw):
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(st.sampled_from(_HUGE_INTERVALS))
     a = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)))
     width = draw(st.floats(min_value=1e-3, max_value=50.0))
     return f"{a!r},{a + width!r}"
@@ -88,6 +94,8 @@ def _check_json_report(argv, text):
 @example(argv=["integrate", "--f=" + "-" * 1200 + "x", "--interval", "0,1"])
 @example(argv=["integrate", "--f=" + "(" * 200 + "x" + ")" * 200, "--interval", "0,1"])
 @example(argv=["integrate", "--f", "0.00001", "--interval", "0,1e60", "--grid", "1001"])
+@example(argv=["integrate", "--f", "x", "--interval", "0,9e307", "--format", "json"])
+@example(argv=["integrate", "--f", "x/1e300", "--interval", "1e307,1.7e308", "--format", "json"])
 @example(argv=["bound", "--f", "x", "--g", "x", "--interval", "0,1e300", "--s", "1", "--m", "1",
                "--format", "json"])
 @example(argv=["bound", "--f", "1e200", "--g", "1e200", "--interval", "0,1", "--s", "1",
