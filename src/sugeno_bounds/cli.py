@@ -171,9 +171,10 @@ def _cell(value, fmt: str = "text"):
     return format(value, ".6g") if isinstance(value, float) else str(value)
 
 
-def _text_pairs(pairs) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k:<{width}}  {_cell(v)}" for k, v in pairs)
+def _columns(rows) -> list[str]:
+    """Text rows of cells, each column padded to its widest cell, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
 def _csv_text(header, rows) -> str:
@@ -235,15 +236,11 @@ def emit_report(report, fmt: str = "text") -> str:
             return json.dumps({"rows": [asdict(r) for r in report]}, allow_nan=False)
         if fmt == "csv":
             return _csv_text(_REPRODUCE_HEADER, [astuple(r) for r in report])
-        header = ("case", "quantity", "expected", "computed", "diff", "verdict")
-        cells = [header] + [
+        lines = _columns([("case", "quantity", "expected", "computed", "diff", "verdict")] + [
             (r.case_id, r.quantity, _cell(r.paper_value), _cell(r.computed_value),
              _cell(r.abs_diff), r.verdict)
             for r in report
-        ]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-        lines = ["  ".join(f"{row[i]:<{widths[i]}}" for i in range(len(header))).rstrip()
-                 for row in cells]
+        ])
         notes = [f"note [{r.case_id}]: {r.note}" for r in report if r.note]
         return "\n".join(lines + notes)
 
@@ -252,7 +249,7 @@ def emit_report(report, fmt: str = "text") -> str:
         return json.dumps(dict(pairs), allow_nan=False)
     if fmt == "csv":
         return _csv_text([k for k, _ in pairs], [[_cell(v, fmt) for _, v in pairs]])
-    return _text_pairs(pairs)
+    return "\n".join(_columns([(k, _cell(v)) for k, v in pairs]))
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,11 @@ bracket, so each step decides as full refinement would, and the bracket and
 value are unchanged.  Only a step that no bracket settles refines to full
 depth.
 The alpha steps of one integral share a crossing cell and walk it from the
-top, so f(t) and phi(|end - t|) are kept by the point t for the length of
-the call and each point is evaluated once; the residual at alpha_lo re-walks
-its cell on kept values.  evaluate is pure, and f is kept only at midpoints,
-which lie above a >= 0 and so are never a signed zero, so a kept value is
-what evaluating again gives; an EvalError keeps nothing.
+top, so f(t) and phi(|end - t|) are kept by ``functools.cache`` for the
+length of the call and each point is evaluated once; the residual at
+alpha_lo re-walks its cell on kept values.  evaluate is pure, and f is kept
+only at midpoints, which lie above a >= 0 and so are never a signed zero, so
+a kept value is what evaluating again gives; an EvalError keeps nothing.
 Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
@@ -63,6 +63,7 @@ case and an excluded interior point are counted on the grid.
 from __future__ import annotations
 
 import bisect
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -103,7 +104,6 @@ class _LevelSets:
     def __init__(self, f: FunctionExpr, base: Interval, phi: FunctionExpr, grid: int):
         if not _MIN_GRID <= grid <= MAX_GRID:
             raise ValueError(f"grid must be between {_MIN_GRID} and {MAX_GRID} points, got {grid}")
-        self.f = f
         self.base = base
         self.phi = phi
         self.grid = grid
@@ -148,7 +148,11 @@ class _LevelSets:
         self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
         self._kept = (np.inf, -np.inf, None, 0)  # (lo, hi, sorted samples in [lo, hi), count(hi))
-        self._f_at, self._phi_at = {}, {}  # f(t) and phi(|end - t|) by the point t
+        # f(t) and phi(|end - t|), evaluated once per point; the closures hold
+        # no self, so reference counting frees the grid once the call returns
+        end = self._end
+        self._f_of = functools.cache(lambda t: evaluate(f, t))
+        self._phi_of = functools.cache(lambda t: evaluate(phi, abs(end - t)))
 
     def x(self, i: int) -> float:
         """Coordinate of grid point ``i``: ``np.linspace(a, b, grid)[i]``."""
@@ -182,20 +186,6 @@ class _LevelSets:
         i = int(np.searchsorted(vals, alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
         lo, hi = sorted((self.x(idx[i - 1]), self.x(idx[i])))
         return lo, hi
-
-    def _f_of(self, t: float) -> float:
-        """f(t), evaluated once per point; an EvalError stores nothing."""
-        value = self._f_at.get(t)
-        if value is None:
-            value = self._f_at[t] = evaluate(self.f, t)
-        return value
-
-    def _phi_of(self, t: float) -> float:
-        """phi of the level length from t to the level sets' end, evaluated once per point."""
-        value = self._phi_at.get(t)
-        if value is None:
-            value = self._phi_at[t] = evaluate(self.phi, abs(self._end - t))
-        return value
 
     def _refined_length(self, alpha: float, lo: float, hi: float, h=None) -> float | None:
         """Level length at alpha, its boundary refined in the cell [lo, hi] by halving on

@@ -1,10 +1,11 @@
 """Count the code lines of ``src/sugeno_bounds``, the source-size figure that CI reports.
 
-    python tests/code_lines.py ROOT
+    python tests/code_lines.py ROOT [--by-module]
 
 ROOT is the root of a checkout.  A line counts when it holds code: a blank
 line, a comment or a docstring does not.  Prints the total for the package's
-modules as one number.
+modules as one number; with ``--by-module``, first one ``module lines`` row
+per module, then a ``total lines`` row.
 """
 
 import ast
@@ -32,4 +33,10 @@ def code_lines(text: str) -> int:
 
 if __name__ == "__main__":
     package = pathlib.Path(sys.argv[1], "src/sugeno_bounds")
-    print(sum(code_lines(path.read_text()) for path in sorted(package.glob("*.py"))))
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+    if "--by-module" in sys.argv[2:]:
+        for name, lines in counts.items():
+            print(name, lines)
+        print("total", sum(counts.values()))
+    else:
+        print(sum(counts.values()))

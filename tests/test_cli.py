@@ -41,6 +41,62 @@ def test_integrate_text(capsys):
     assert "0.126866" in out
 
 
+# The text layout, byte for byte: the reproduce table and the README's
+# key-value examples, each column padded to its widest cell.  Text prints 6
+# significant digits, so these hold on every platform.
+_GOLDEN_TEXT = [
+    (["reproduce", "--case", "all"], """\
+case  quantity                            expected  computed  diff         verdict
+3.2   sugeno integral of x^5/4 on [0,1]   0.1269    0.126866  3.41249e-05  Match
+3.2   endpoint comparison value at s=1/3  0.1071    0.107143  4.28571e-05  Match
+3.8   sugeno integral of x^2 on [1,4]     2.4384    2.43845   4.71872e-05  Match
+3.8   increasing-case bound threshold     2.5302    1.77778   0.752422     PaperInternalInconsistency
+3.9   sugeno integral of 1/x^4 on [1,2]   0.3247    0.324718  1.79572e-05  Match
+3.9   decreasing-case bound threshold     0.4802    0.48025   4.96489e-05  Match
+note [3.8]: published threshold does not solve the bound equation (equation residual 6.25888); \
+computed root 1.77778; sup-min of the true envelope-product distribution 2.50626
+"""),
+    (["integrate", "--f", "x^5/4", "--interval", "0,1"], """\
+value        0.126866
+residual     1.56053e-12
+alpha_lo     0.126866
+alpha_hi     0.126866
+grid_points  -
+"""),
+    (["bound", "--f", "x^(3/2)", "--g", "x^(1/2)", "--interval", "1,4", "--s", "1", "--m", "1"], """\
+beta      1.77778
+residual  1.11422e-12
+bound     1.77778
+case      increasing
+"""),
+    (["verify", "--f", "1/x^2", "--g", "1/x^2", "--interval", "1,2", "--s", "1", "--m", "1",
+      "--fail-on-violation"], """\
+integral  0.324718
+beta      0.48025
+bound     0.48025
+kirmaci   0.4375
+case      decreasing
+holds     true
+margin    0.155532
+residual  8.44325e-14
+"""),
+    (["convexity", "--f", "x^2/2", "--interval", "0,1", "--s", "0.3333333333333333", "--m", "1"], """\
+holds_on_grid   true
+witness_x       -
+witness_y       -
+witness_lambda  -
+witness_gap     -
+grid            41
+skipped         0
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,text", _GOLDEN_TEXT, ids=[argv[0] for argv, _ in _GOLDEN_TEXT])
+def test_text_layout_is_pinned(capsys, argv, text):
+    assert _run(capsys, *argv) == (0, text)
+
+
 def test_integrate_json_single_object(capsys):
     code, out = _run(capsys, "integrate", "--f", "x^2", "--interval", "1,4",
                      "--format", "json")

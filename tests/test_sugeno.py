@@ -5,11 +5,15 @@ mpmath root, never copied from the engine under test.
 """
 
 import gc
+import importlib.util
 import math
 import operator
 import random
+import sys
 import tracemalloc
 import warnings
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -318,6 +322,32 @@ def test_integrals_keep_no_memory_after_returning():
     assert held < 16 * 2**10, held
 
 
+@pytest.mark.parametrize("src,base,phi", [("x^2", Interval(1.0, 4.0), None),
+                                          ("abs(x-0.5)", Interval(0.0, 1.0), None),
+                                          ("x^2", Interval(1.0, 4.0), "sqrt(x)")],
+                         ids=["exact", "counted", "exact-sqrt"])
+def test_level_sets_are_freed_by_reference_counting(monkeypatch, src, base, phi):
+    # the grid (0.8 MB) goes as soon as the integral returns, with no wait for
+    # the cycle collector: nothing the level sets hold, their point memos
+    # included, refers back to them
+    built, build = [], sugeno._LevelSets.__init__
+
+    def building(self, *args):
+        built.append(weakref.ref(self))
+        build(self, *args)
+
+    monkeypatch.setattr(sugeno._LevelSets, "__init__", building)
+    measure = None if phi is None else distortion(parse(phi), base)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sugeno_integral(parse(src), base, measure)
+        assert built and all(level_sets() is None for level_sets in built)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_intermediate_overflow_is_undefined(capsys):
     # exp(1000*x) overflows for x > 0.7098, so 1/exp(1000*x) is undefined
     # there in both evaluators, not 0: most of the grid is not evaluable
@@ -466,6 +496,83 @@ def test_kept_bracket_counts_at_its_edges(src, i, width):
     assert levels._kept[2] is samples
 
 
+def _load_bench_gen():
+    """bench/gen.py, the benchmark's integrand families, imported without changing sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    module = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_turns(seed):
+    """Two tents and two caps drawn as the benchmark draws them, redrawn until f dips
+    below mu(X), each with the number of intervals in its level sets."""
+    gen, rng = _load_bench_gen(), random.Random(seed)
+    for i, (family, components) in enumerate([(gen.tent_fn, 2), (gen.tent_fn, 2),
+                                              (gen.cap_fn, 1), (gen.cap_fn, 1)]):
+        while True:
+            a, b = gen.random_interval(rng)
+            fn = family(rng, a, b)
+            if gen.dips_below(fn, a, b, b - a):
+                break
+        yield pytest.param(fn.text, Interval(a, b), components, None,
+                           id=f"{family.__name__}{i}-seed{seed}")
+
+
+def _bisect(beyond, lo, hi):
+    """Where ``beyond`` turns True between ``lo`` (False) and ``hi`` (True), to 2^-200 of hi - lo."""
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if beyond(mid) else (mid, hi)
+    return hi
+
+
+def _turning_truth(src, base):
+    """S of a tent or cap ``src`` over ``base`` under Lebesgue measure at 50 digits: the
+    vertex splits the base into two monotone runs, F(alpha) sums the runs' level lengths,
+    each crossing bisected, and S is where F(alpha) >= alpha stops holding."""
+    f = expr._compile(parse(src).root, _MP_OPS)
+    a, b, dx = mpmath.mpf(base.a), mpmath.mpf(base.b), mpmath.mpf(10) ** -30
+    tent = f(b) > f(b - dx)  # rising at b: the vertex is a minimum
+    # near a cap's smooth top this finds the vertex to about 1e-20 only, but any
+    # split between a level set's two crossings gives the same total length
+    vertex = _bisect(lambda x: (f(x + dx) > f(x)) == tent, a, b)
+
+    def length(alpha):
+        total = mpmath.mpf(0)
+        for lo, hi in ((a, vertex), (vertex, b)):
+            if f(lo) >= alpha and f(hi) >= alpha:
+                total += hi - lo
+            elif f(lo) >= alpha:
+                total += _bisect(lambda x: f(x) < alpha, lo, hi) - lo
+            elif f(hi) >= alpha:
+                total += hi - _bisect(lambda x: f(x) >= alpha, lo, hi)
+        return total
+
+    return _bisect(lambda alpha: length(alpha) < alpha, mpmath.mpf(0), b - a)
+
+
+@pytest.mark.parametrize("src,base,components,closed_form", [
+    pytest.param("abs(x-0.5)", Interval(0.0, 1.0), 2, mpmath.mpf(1) / 3, id="abs(x-0.5)"),
+    pytest.param("4*x*(1-x)", Interval(0.0, 1.0), 1, (mpmath.sqrt(5) - 1) / 2, id="4*x*(1-x)"),
+    *_bench_turns(11)])
+def test_counted_integrals_are_within_the_grid_bias_of_the_truth(src, base, components,
+                                                                 closed_form):
+    # the grid count against the 50-digit truth, within the bias bound that
+    # bench/check.py's integral_ok allows a counted answer: (components + 2)
+    # grid steps.  At the default grid the two worked integrands read +3.33e-6
+    # and -7.43e-6 against bounds of 4e-5 and 3e-5.
+    truth = _turning_truth(src, base)
+    if closed_form is not None:
+        assert abs(truth - closed_form) < mpmath.mpf(10) ** -45
+    for grid in (101, 10001, DEFAULT_GRID):
+        res = sugeno_integral(parse(src), base, grid=grid)
+        assert res.grid_points == grid
+        bound = (components + 2) * base.length / (grid - 1)
+        assert abs(mpmath.mpf(res.value) - truth) <= bound, (grid, res.value, float(truth))
+
+
 def _level_set_measure(f, base, alpha):
     ((_, measure),) = distribution_profile(f, base, alphas=(alpha,))
     return measure
@@ -602,13 +709,6 @@ def test_dropped_bracket_is_not_refined(monkeypatch):
     assert calls == {"f": 0, "phi": 48}, calls
 
 
-class _Forgetful(dict):
-    """A memo that stores nothing, so every lookup misses and every point is evaluated."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.mark.parametrize("phi", _BENCH_MEASURES)
 @pytest.mark.parametrize("src,base", [*_monotone_draws(2024, 6),
                                       pytest.param("x^2", Interval(1.0, 4.0), id="square"),
@@ -621,8 +721,9 @@ def test_remembered_evaluations_change_no_answer(monkeypatch, src, base, phi):
     build = sugeno._LevelSets.__init__
 
     def forgetful_build(self, *args):
+        # the uncached callables: every point is evaluated each time it is asked for
         build(self, *args)
-        self._f_at, self._phi_at = _Forgetful(), _Forgetful()
+        self._f_of, self._phi_of = self._f_of.__wrapped__, self._phi_of.__wrapped__
 
     monkeypatch.setattr(sugeno._LevelSets, "__init__", forgetful_build)
     forgot, forgot_calls = _scalar_calls(monkeypatch, src, base, phi)
@@ -708,9 +809,10 @@ def test_crossing_on_an_ulp_split_grid_value(src, i, length):
     # At alpha = numpy's value at grid point i, libm's value there is an ulp
     # lower, so a scalar evaluation puts both ends of the crossing cell below
     # alpha.  The refinement keeps the side the grid gives each end.
-    levels = sugeno._LevelSets(parse(src), Interval(0.0, 1.0), lebesgue(), DEFAULT_GRID)
+    f = parse(src)
+    levels = sugeno._LevelSets(f, Interval(0.0, 1.0), lebesgue(), DEFAULT_GRID)
     x, alpha = levels.x(i), float(levels.vals[i])
-    if not sugeno.evaluate(levels.f, x) < alpha:
+    if not sugeno.evaluate(f, x) < alpha:
         pytest.skip("numpy and libm agree at this grid point on this platform")
     assert abs(levels.level_length(alpha) - length(x)) <= 1e-12
 
@@ -742,6 +844,24 @@ def test_sub_tolerance_integrals_keep_their_digits():
            sugeno_integral(parse("1e-10*x"), Interval(0.0, 1.0)).value]
     want = [5e-14, 1e-13 / (1 + 1e-13), 1e-10 / (1 + 1e-10)]
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)  # approx's default abs is 1e-12
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 10: residual is |F(alpha_lo) - alpha_lo|, the jump of "
+                          "F at a step or its float spacing near the overflow limit, not the "
+                          "value's error")
+def test_residual_bounds_the_error_of_exact_answers():
+    # both values are right to the solver stop, 0.3 and 1.7e8 to an ulp, but
+    # F jumps from 1 to 0 at the constant's value (residual 0.70), and near
+    # 1.7e308 the level length moves in ulps of x, about 2e292 (residual 2.0e292)
+    results = {src: sugeno_integral(parse(src), Interval(a, b))
+               for src, a, b in [("0.3", 0.0, 1.0), ("x/1e300", 1e307, 1.7e308)]}
+    assert results["0.3"].value == pytest.approx(0.3, abs=1e-12)
+    assert results["x/1e300"].value == pytest.approx(1.7e8, rel=1e-15)
+    assert all(res.grid_points is None for res in results.values())
+    loose = {src: res.residual for src, res in results.items()
+             if not res.residual <= 1e-9 * max(1.0, res.value)}
+    assert loose == {}
 
 
 @pytest.mark.xfail(strict=True,
