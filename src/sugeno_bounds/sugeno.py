@@ -32,8 +32,9 @@ over the grid.  The counts are exact, and a NaN sample falls in no subset,
 so this gives what counting the whole grid gives; other alphas count the
 whole grid.
 The crossing cell's ends come from the grid, which already puts one on each
-side of alpha, so they are not evaluated again: the bisection evaluates only
-midpoints, and an EvalError at a midpoint propagates.
+side of alpha (an excluded base end counts as the far side), so they are not
+evaluated again: the bisection evaluates only midpoints, and an EvalError at
+a midpoint propagates.
 The threshold solve needs only whether F(alpha) >= alpha, and the refined
 boundary lies inside every bracket of the refinement, from the crossing cell
 down, so phi of the level lengths at a bracket's two ends bounds F(alpha).
@@ -56,8 +57,10 @@ Grid points where the integrand is not evaluable are excluded from level
 sets and counted; the integral proceeds only while exclusions stay below
 0.1% of the grid.  Excluded end points are dropped from the monotone scan and
 level sets run on to the base end, so an undefined interval end keeps the
-exact path unless the crossing falls in its cell, which is not refined; that
-case and an excluded interior point are counted on the grid.
+exact path: where no sample lies on one side of alpha, the crossing cell runs
+from the base end to the nearest sample, and it is refined at its midpoints
+like any other.  Only an excluded interior point sends an integral to the
+grid count, and the path is chosen once, when the grid is built.
 """
 
 from __future__ import annotations
@@ -144,8 +147,6 @@ class _LevelSets:
         idx = range(first, stop)
         self._view = (vals, idx) if increasing else (vals[::-1], idx[::-1])
         self._start, self._end = (base.a, base.b) if increasing else (base.b, base.a)
-        a_open, b_open = first > 0, stop < grid
-        self._open = (a_open, b_open) if increasing else (b_open, a_open)  # (low, high) view end
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
         self._kept = (np.inf, -np.inf, None, 0)  # (lo, hi, sorted samples in [lo, hi), count(hi))
         # f(t) and phi(|end - t|), evaluated once per point; the closures hold
@@ -177,15 +178,17 @@ class _LevelSets:
 
     def _cell(self, alpha: float) -> tuple[float, float]:
         """x ends (lo, hi) of the grid cell holding the level set's boundary at alpha;
-        lo == hi is the boundary itself where no sample crosses alpha."""
+        lo == hi is a base end, the boundary itself, where no sample lies on one side
+        of alpha and that end is not excluded."""
         vals, idx = self._view
-        if vals[0] >= alpha:
-            return self._start, self._start
-        if vals[-1] < alpha:
-            return self._end, self._end
-        i = int(np.searchsorted(vals, alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
-        lo, hi = sorted((self.x(idx[i - 1]), self.x(idx[i])))
-        return lo, hi
+        if vals[0] >= alpha:  # no sample below alpha: the cell at the base start
+            lo, hi = self._start, self.x(idx[0])
+        elif vals[-1] < alpha:  # none at or above it: the cell at the base end
+            lo, hi = self.x(idx[-1]), self._end
+        else:
+            i = int(np.searchsorted(vals, alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
+            lo, hi = self.x(idx[i - 1]), self.x(idx[i])
+        return (lo, hi) if lo <= hi else (hi, lo)
 
     def _refined_length(self, alpha: float, lo: float, hi: float, h=None) -> float | None:
         """Level length at alpha, its boundary refined in the cell [lo, hi] by halving on
@@ -218,11 +221,6 @@ class _LevelSets:
 
     def _count(self, alpha: float) -> int:
         return int(np.count_nonzero(self.vals >= alpha))
-
-    def unresolved(self, alpha: float) -> bool:
-        """Whether the level set at alpha ends in an excluded end cell, which is not refined."""
-        (vals, _), (low_open, high_open) = self._view, self._open
-        return (low_open and vals[0] >= alpha) or (high_open and vals[-1] < alpha)
 
     def measure(self, alpha: float) -> float:
         return evaluate(self.phi, self.level_length(alpha))
@@ -261,16 +259,12 @@ def sugeno_integral(
     """Sugeno integral of a non-negative ``f`` over ``base`` under the distortion ``phi``."""
     phi = lebesgue() if phi is None else phi
     levels = _LevelSets(f, base, phi, grid)
+    grid_points = None if levels.exact_boundaries else grid
     mu_total = evaluate(phi, base.length)
     if mu_total <= 0.0:
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
-        grid_points = None if levels.exact_boundaries else grid
         return IntegralResult(0.0, abs(mu_total), (0.0, 0.0), grid_points)
     lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total)
-    if levels.exact_boundaries and (levels.unresolved(lo) or levels.unresolved(hi)):
-        levels.exact_boundaries = False  # the crossing is in an excluded end cell: count instead
-        lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total)
     residual = abs(levels.measure(lo) - lo)
-    grid_points = None if levels.exact_boundaries else grid
     return IntegralResult(lo, residual, (lo, hi), grid_points)
 

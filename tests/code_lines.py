@@ -1,17 +1,18 @@
 """Count the code lines of ``src/sugeno_bounds``, the source-size figure that CI reports.
 
-    python tests/code_lines.py ROOT [--by-module]
+    python tests/code_lines.py [ROOT] [--by-module]
 
-ROOT is the root of a checkout.  A line counts when it holds code: a blank
-line, a comment or a docstring does not.  Prints the total for the package's
-modules as one number; with ``--by-module``, first one ``module lines`` row
-per module, then a ``total lines`` row.
+ROOT is the root of a checkout, by default the one that holds this script.
+A line counts when it holds code: a blank line, a comment or a docstring does
+not.  Prints the total for the package's modules as one number; with
+``--by-module``, first one ``module lines`` row per module, then a ``total
+lines`` row.
 """
 
+import argparse
 import ast
 import io
 import pathlib
-import sys
 import tokenize
 
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
@@ -32,9 +33,14 @@ def code_lines(text: str) -> int:
 
 
 if __name__ == "__main__":
-    package = pathlib.Path(sys.argv[1], "src/sugeno_bounds")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", type=pathlib.Path,
+                        default=pathlib.Path(__file__).resolve().parent.parent)
+    parser.add_argument("--by-module", action="store_true")
+    args = parser.parse_args()
+    package = args.root / "src/sugeno_bounds"
     counts = {path.name: code_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
-    if "--by-module" in sys.argv[2:]:
+    if args.by_module:
         for name, lines in counts.items():
             print(name, lines)
         print("total", sum(counts.values()))

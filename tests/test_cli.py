@@ -538,6 +538,17 @@ def test_cli_prints_each_warning_on_one_line():
     assert r.stdout == _ONE_EXCLUDED_OUT
 
 
+@pytest.mark.parametrize("f", ["1e-300*exp(0.01/(1-x))", "1e-300*exp(0.01/x)"])
+def test_end_cell_overflow_exits_three_without_traceback(f):
+    # exp overflows at a midpoint of the cell next to the excluded interval end
+    r = subprocess.run([sys.executable, "-m", "sugeno_bounds.cli", "integrate", "--f", f,
+                        "--interval", "0,1"], capture_output=True, text=True, env=_src_env())
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == ("warning: excluded 2 non-evaluable grid point(s) from level sets\n"
+                        "error: overflow in exp\n")
+
+
 def test_warning_lines_stay_inside_main(capsys, monkeypatch):
     show = warnings.showwarning
     monkeypatch.setattr(sys, "argv", ["sugeno-bounds", *_ONE_EXCLUDED])

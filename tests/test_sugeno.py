@@ -506,11 +506,13 @@ def _load_bench_gen():
 
 
 def _bench_turns(seed):
-    """Two tents and two caps drawn as the benchmark draws them, redrawn until f dips
-    below mu(X), each with the number of intervals in its level sets."""
+    """Two tents, two caps and two Gaussian bumps drawn as the benchmark draws them,
+    redrawn until f dips below mu(X), each with the number of intervals in its level sets."""
     gen, rng = _load_bench_gen(), random.Random(seed)
     for i, (family, components) in enumerate([(gen.tent_fn, 2), (gen.tent_fn, 2),
-                                              (gen.cap_fn, 1), (gen.cap_fn, 1)]):
+                                              (gen.cap_fn, 1), (gen.cap_fn, 1),
+                                              (gen.gaussian_bump_fn, 1),
+                                              (gen.gaussian_bump_fn, 1)]):
         while True:
             a, b = gen.random_interval(rng)
             fn = family(rng, a, b)
@@ -651,14 +653,39 @@ def test_excluded_interval_ends_keep_the_exact_path(src, n_excluded):
 
 @pytest.mark.parametrize("src,exact", [
     ("x+0*ln(abs(x-0.5))", 0.5),                 # undefined at the interior grid point 1/2
-    ("0.999995+x+0*ln(x)", 0.9999975),           # the crossing x = 2.5e-6 is in the cell at 0
-    ("0.000000000001/(1-x)", 1e-6),              # the crossing x = 1 - 1e-6 is in the cell at 1
 ])
 def test_unresolved_exclusions_count_on_the_grid(src, exact):
+    # only an excluded interior point sends an integral to the grid count
     with pytest.warns(RuntimeWarning, match="excluded 1 "):
         res = sugeno_integral(parse(src), Interval(0.0, 1.0))
     assert res.grid_points == 100001
     assert res.value == pytest.approx(exact, abs=2e-5)
+
+
+@pytest.mark.parametrize("src,exact", [
+    ("0.999995+x+0*ln(x)", 0.9999975),           # the crossing x = 2.5e-6 is in the cell at 0
+    ("0.999995+(1-x)+0*ln(1-x)", 0.9999975),     # its mirror, in the cell at 1
+    ("0.000000000001/(1-x)", 1e-6),              # the crossing x = 1 - 1e-6 is in the cell at 1
+    ("0.000000000001/x", 1e-6),                  # its mirror, in the cell at 0
+])
+def test_excluded_end_cells_are_refined(src, exact):
+    # the crossing lies in the grid cell next to an undefined interval end, so
+    # that cell is halved like an interior one and the answer stays exact (a
+    # grid count read 0.99999000 and 9.999985e-08 here)
+    with pytest.warns(RuntimeWarning, match="excluded 1 "):
+        res = sugeno_integral(parse(src), Interval(0.0, 1.0))
+    assert res.grid_points is None
+    assert abs(res.value - exact) <= 1e-12, res
+
+
+@pytest.mark.parametrize("src", ["1e-300*exp(0.01/(1-x))", "1e-300*exp(0.01/x)"])
+def test_end_cell_midpoint_errors_propagate(src):
+    # exp overflows at the end cell's midpoints as it does at the excluded grid
+    # points, so the refinement raises, as in an interior cell (a grid count
+    # read 0.0 here; the truth is about 1.47e-5)
+    with pytest.warns(RuntimeWarning, match="excluded 2 "), \
+            pytest.raises(EvalError, match="^overflow in exp$"):
+        sugeno_integral(parse(src), Interval(0.0, 1.0))
 
 
 def _scalar_calls(monkeypatch, src, base, phi=None):
@@ -695,18 +722,26 @@ def test_monotone_integral_scalar_evaluations(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:excluded 1 non-evaluable")
-def test_dropped_bracket_is_not_refined(monkeypatch):
-    # the exact solve's crossing is in the excluded cell at x = 1, so its
-    # bracket is dropped before any residual and only the counted solve's
-    # residual is taken: no integrand evaluation at all; a step whose
-    # boundary is a base end evaluates phi there once per integral, not once
-    # per step (99 when each step evaluated it)
-    res, calls = _scalar_calls(monkeypatch, "0.000000000001/(1-x)", Interval(0.0, 1.0))
-    assert repr(res) == ("IntegralResult(value=9.999985195463523e-08, "
-                         "residual=9.899900149045356e-06, "
-                         "alpha_bracket=(9.999985195463523e-08, 1.00000761449337e-07), "
-                         "grid_points=100001)")
-    assert calls == {"f": 0, "phi": 48}, calls
+def test_end_cell_is_refined_at_midpoints_only(monkeypatch):
+    # the crossing is in the cell [0.99999, 1] next to the excluded end x = 1:
+    # its refinement evaluates f only at midpoints strictly inside the cell,
+    # never at the end, and each point once per integral
+    f, points, phi_calls, evaluate = parse("0.000000000001/(1-x)"), [], [], expr.evaluate
+
+    def recording(g, x):
+        (points if g is f else phi_calls).append(x)
+        return evaluate(g, x)
+
+    monkeypatch.setattr(sugeno, "evaluate", recording)
+    res = sugeno_integral(f, Interval(0.0, 1.0))
+    assert repr(res) == ("IntegralResult(value=9.99999429041054e-07, "
+                         "residual=1.1073364447611311e-12, "
+                         "alpha_bracket=(9.99999429041054e-07, 1.0000003385357559e-06), "
+                         "grid_points=None)")
+    cell_lo = float(np.linspace(0.0, 1.0, DEFAULT_GRID)[-2])
+    assert points and all(cell_lo < x < 1.0 for x in points), points
+    assert len(points) == len(set(points)) == 25
+    assert len(phi_calls) == 32
 
 
 @pytest.mark.parametrize("phi", _BENCH_MEASURES)
