@@ -60,7 +60,10 @@ level sets run on to the base end, so an undefined interval end keeps the
 exact path: where no sample lies on one side of alpha, the crossing cell runs
 from the base end to the nearest sample, and it is refined at its midpoints
 like any other.  Only an excluded interior point sends an integral to the
-grid count, and the path is chosen once, when the grid is built.
+grid count, and the path is chosen once, when the grid is built:
+``sugeno_integral`` hands the threshold solve that path's step, the settling
+``threshold_step`` on the exact path and ``measure`` on the counted one, so
+``threshold_step`` serves only the exact path.
 """
 
 from __future__ import annotations
@@ -147,6 +150,8 @@ class _LevelSets:
         idx = range(first, stop)
         self._view = (vals, idx) if increasing else (vals[::-1], idx[::-1])
         self._start, self._end = (base.a, base.b) if increasing else (base.b, base.a)
+        # a crossing cell's f(lo) is below alpha when f rises, at or above it when f falls
+        self.falling = not increasing
         self._counted = ([], [])  # alphas counted on the grid, ascending, and their counts
         self._kept = (np.inf, -np.inf, None, 0)  # (lo, hi, sorted samples in [lo, hi), count(hi))
         # f(t) and phi(|end - t|), evaluated once per point; the closures hold
@@ -170,24 +175,14 @@ class _LevelSets:
         i += self.base.a
         return i
 
-    def level_length(self, alpha: float) -> float:
-        """Lebesgue length of {x : f(x) >= alpha} within the base interval."""
-        if not self.exact_boundaries:
-            return (self._settled_count(alpha) / self.grid) * self.base.length
-        return self._refined_length(alpha, *self._cell(alpha))
-
     def _cell(self, alpha: float) -> tuple[float, float]:
         """x ends (lo, hi) of the grid cell holding the level set's boundary at alpha;
-        lo == hi is a base end, the boundary itself, where no sample lies on one side
-        of alpha and that end is not excluded."""
+        a base end stands in for the sample missing on one side of alpha, and lo == hi
+        is that end, the boundary itself, when it is not excluded."""
         vals, idx = self._view
-        if vals[0] >= alpha:  # no sample below alpha: the cell at the base start
-            lo, hi = self._start, self.x(idx[0])
-        elif vals[-1] < alpha:  # none at or above it: the cell at the base end
-            lo, hi = self.x(idx[-1]), self._end
-        else:
-            i = int(np.searchsorted(vals, alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
-            lo, hi = self.x(idx[i - 1]), self.x(idx[i])
+        i = int(vals.searchsorted(alpha, side="left"))  # vals[i - 1] < alpha <= vals[i]
+        lo = self.x(idx[i - 1]) if i else self._start
+        hi = self.x(idx[i]) if i < len(vals) else self._end
         return (lo, hi) if lo <= hi else (hi, lo)
 
     def _refined_length(self, alpha: float, lo: float, hi: float, h=None) -> float | None:
@@ -195,9 +190,7 @@ class _LevelSets:
         ``h`` (f - alpha unless given); None where ``h`` stops the halving."""
         if lo == hi:
             return abs(self._end - lo)
-        # the grid puts f(lo) below alpha when f rises and at or above it when f falls
-        falling = self._view[1].step < 0
-        bracket = _halve(h or (lambda t: self._f_of(t) - alpha), lo, hi, falling)
+        bracket = _halve(h or (lambda t: self._f_of(t) - alpha), lo, hi, self.falling)
         return None if bracket is None else abs(self._end - (0.5 * bracket[0] + 0.5 * bracket[1]))
 
     def _settled_count(self, alpha: float) -> int:
@@ -223,14 +216,16 @@ class _LevelSets:
         return int(np.count_nonzero(self.vals >= alpha))
 
     def measure(self, alpha: float) -> float:
-        return evaluate(self.phi, self.level_length(alpha))
+        """F(alpha): phi of the Lebesgue length of {x : f(x) >= alpha} within the base interval."""
+        length = (self._refined_length(alpha, *self._cell(alpha)) if self.exact_boundaries
+                  else (self._settled_count(alpha) / self.grid) * self.base.length)
+        return evaluate(self.phi, length)
 
     def threshold_step(self, alpha: float) -> float:
-        """F(alpha), or the lower of phi at a crossing bracket's ends, from the first
-        bracket of the refinement that settles F(alpha) >= alpha (see the module docstring)."""
-        if not self.exact_boundaries:
-            return self.measure(alpha)
-        f_of, phi_of, falling = self._f_of, self._phi_of, self._view[1].step < 0
+        """F(alpha) on the exact path, or the lower of phi at a crossing bracket's ends, from
+        the first bracket of the refinement that settles F(alpha) >= alpha (see the module
+        docstring)."""
+        f_of, phi_of, falling = self._f_of, self._phi_of, self.falling
         margin = _SETTLE_MARGIN * max(1.0, abs(alpha))
         lo, hi = self._cell(alpha)
         if lo == hi:
@@ -264,7 +259,8 @@ def sugeno_integral(
     if mu_total <= 0.0:
         # a null measure leaves no alpha > 0 with F(alpha) >= alpha
         return IntegralResult(0.0, abs(mu_total), (0.0, 0.0), grid_points)
-    lo, hi = solve_sup_threshold(levels.threshold_step, 0.0, mu_total)
+    step = levels.threshold_step if levels.exact_boundaries else levels.measure
+    lo, hi = solve_sup_threshold(step, 0.0, mu_total)
     residual = abs(levels.measure(lo) - lo)
     return IntegralResult(lo, residual, (lo, hi), grid_points)
 

@@ -1,14 +1,19 @@
-"""Shared test plumbing: acceptance lines for the end-of-run summary, and a
-guard that makes grid allocation fail."""
+"""Shared test plumbing: acceptance lines for the end-of-run summary, the
+tests a run deselected, and a guard that makes grid allocation fail."""
 
 import numpy as np
 import pytest
 
 ACCEPTANCE_LINES: list[str] = []
+DESELECTED: list = []  # items that -k, -m, --deselect or --lf left out of this run
 
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+def pytest_deselected(items):
+    DESELECTED.extend(items)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

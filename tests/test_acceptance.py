@@ -27,12 +27,15 @@ from reference import (
     sugeno_integral_oracle,
     verify_fuzzy_measure_axioms,
 )
-from sugeno_bounds.bounds import endpoint_bound, verify_hadamard
+from sugeno_bounds.bounds import endpoint_bound, hadamard_bound, verify_hadamard
 from sugeno_bounds.cli import reproduce, run
-from sugeno_bounds.convexity import EndpointData, SMParams, check_sm_convex, envelope
-from sugeno_bounds.expr import parse, product
+from sugeno_bounds.convexity import (EndpointData, SMParams, check_sm_convex, endpoint_data,
+                                     envelope)
+from sugeno_bounds.exceptions import UnsupportedCaseError
+from sugeno_bounds.expr import evaluate_array, parse, product
 from sugeno_bounds.measure import Interval, distortion, lebesgue
 from sugeno_bounds.sugeno import sugeno_integral
+from test_sugeno import _components, _load_bench_gen
 
 
 def _finish(cid, ok, detail, elapsed, limit):
@@ -299,6 +302,88 @@ def test_criterion9_convexity_checker():
     ok = all(holds) and tent_ok and root_ok
     return ok, (f"4 memberships hold, tent refuted with gap {tent.witness[3]:.3f}, "
                 f"square root refuted with gap {root.witness[3]:.4f}")
+
+
+def _exponent(fn):
+    """p of a bench/gen.py draw that ends in ``*x^(p)``, read from its text."""
+    return float(fn.text.rsplit("^(", 1)[1].rstrip(")"))
+
+
+def _c10_pairs(gen, rng, n):
+    """n pairs (f, g, f*g, base, p), each factor in K2(s, m) by construction and redrawn until
+    f*g dips below mu(X), five kinds in turn: at m = 1, where a non-negative convex
+    function is in K2(s, 1) for every s in (0, 1] since lambda <= lambda^s, a rising
+    pair, a falling pair, a mixed pair and a pair of tents; and at m < 1 a pair of c*x^p
+    with p >= 1, which is convex with f(m*x) <= m*f(x)."""
+
+    def rising():
+        if rng.random() < 0.5:
+            return gen.exponential_fn(rng, 1.0)
+        while _exponent(fn := gen.power_fn(rng)) < 1.0:
+            pass
+        return fn
+
+    def falling():
+        return gen.reciprocal_fn(rng) if rng.random() < 0.5 else gen.exponential_fn(rng, -1.0)
+
+    def power():
+        while _exponent(fn := gen.convexity_case(rng, 0)[0]) < 1.0:  # c*x^p
+            pass
+        return fn
+
+    for i in range(n):
+        while True:
+            if i % 5 == 4:
+                _, a, b, s, m = gen.convexity_case(rng, 0)
+                f, g = power(), power()
+            else:
+                (a, b), s, m = gen.random_interval(rng), rng.uniform(0.25, 1.0), 1.0
+                tent = functools.partial(gen.tent_fn, rng, a, b)
+                first, second = [(rising, rising), (falling, falling), (rising, falling),
+                                 (tent, tent)][i % 5]
+                f, g = first(), second()
+            fg = gen.Fn(f"({f.text})*({g.text})", lambda x, f=f, g=g: f.np_fn(x) * g.np_fn(x))
+            if gen.dips_below(fg, a, b, b - a):
+                yield f, g, fg, Interval(a, b), SMParams(s, m)
+                break
+
+
+@criterion("C10", limit=60.0)
+def test_criterion10_endpoint_bound_audit():
+    # The paper's bound against S(f*g) (counted, not asserted), and the valid
+    # bound that replaces it: (s,m)-convexity and t^s + (1-t)^s <= 2^(1-s)
+    # give f <= envelope(f(a), f(b)) on [a, b] (Hudzik & Maligranda 1994), and
+    # S is monotone in its integrand (Ralescu & Adams 1980), so
+    # S(f*g) <= S(env_f*env_g).  A counted S may be off by the (components + 2)
+    # grid steps that bench/check.py's integral_ok allows; in u = t^s the
+    # envelope product is a quadratic, so its level sets have at most 2 intervals.
+    gen, rng = _load_bench_gen(), random.Random(2018)
+    n, paper, unsupported, dominance, valid, counted = 500, 0, 0, 0, 0, 0
+    for f_fn, g_fn, fg_fn, base, p in _c10_pairs(gen, rng, n):
+        f, g = parse(f_fn.text), parse(g_fn.text)
+        fg = sugeno_integral(product(f, g), base)
+        try:
+            paper += hadamard_bound(f, g, base, p).bound < fg.value
+        except UnsupportedCaseError:
+            unsupported += 1
+        e = endpoint_data(f, g, base)
+        env_f, env_g = envelope(e.fa, e.fb, base, p), envelope(e.ga, e.gb, base, p)
+        xs = np.linspace(base.a, base.b, 1001)
+        for fn, env in ((f, env_f), (g, env_g)):
+            values = evaluate_array(fn, xs)
+            dominance += bool(np.any(values > evaluate_array(env, xs)
+                                     + 1e-12 * np.maximum(1.0, values)))
+        env = sugeno_integral(product(env_f, env_g), base)
+        biases = [(components + 2) * base.length / (res.grid_points - 1)
+                  for res, components in ((fg, _components(fg_fn, base.a, base.b)), (env, 2))
+                  if res.grid_points is not None]
+        counted += len(biases)
+        valid += env.value < fg.value - max(1e-12, sum(biases))
+    ok = dominance == 0 and valid == 0
+    return ok, (f"{n} pairs: paper bound below the integral on {paper} of {n - unsupported} "
+                f"supported, {unsupported} mixed unsupported; envelope dominance failures "
+                f"{dominance}, valid-bound failures {valid} "
+                f"({counted} of {2 * n} integrals counted)")
 
 
 @pytest.mark.xfail(strict=True,

@@ -7,6 +7,7 @@ comments and recomputed here from their closed-form roots.
 import json
 import math
 
+import mpmath
 import pytest
 
 from reference import decreasing_beta_convex, increasing_beta_convex
@@ -62,6 +63,22 @@ def test_case_split_is_invariant_under_positive_scaling():
         f = parse(f"{c!r}*x")
         res = hadamard_bound(f, f, Interval(1.0, 2.0), SMParams(1.0, 1.0))
         assert res.case is CaseTag.INCREASING, (c, res)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 10: the bound's threshold solve stops at an absolute "
+                          "1e-12 width, so a threshold near 2e-8 keeps about five digits")
+def test_sub_tolerance_bound_thresholds_keep_their_digits():
+    # f = g = c*x on [1,2] at s = m = 1 is the increasing case with factor
+    # length 2 - beta/c, so beta solves (2 - beta/c)^2 = beta; at c = 1e-8 the
+    # solve returns 1.99979695e-8 for the root 1.99985858e-8 (3.1e-5 relative)
+    with mpmath.workdps(50):
+        c = mpmath.mpf(1e-8)
+        truth = mpmath.findroot(lambda beta: (2 - beta / c) ** 2 - beta, (c, 2 * c),
+                                solver="anderson")
+    res = hadamard_bound(parse("1e-8*x"), parse("1e-8*x"), Interval(1.0, 2.0), SMParams(1.0, 1.0))
+    assert res.case is CaseTag.INCREASING
+    assert abs(res.beta - truth) <= 1e-9 * truth, (res.beta, truth)
 
 
 def test_kirmaci_value():
