@@ -1,13 +1,14 @@
 """Sugeno integrals, (s,m)-convexity checks, and endpoint product bounds.
 
 The library evaluates Sugeno (fuzzy) integrals of expression-defined
-functions over intervals, checks (s,m)-convexity in the second sense on
-grids, and computes the endpoint-only thresholds that bound integrals of
-products of such functions.  A small CLI (``sugeno-bounds``) exposes the
-same operations plus a ``reproduce`` command for the bundled worked cases.
+functions over intervals, checks (s,m)-convexity in the second sense
+(proven from the expression tree, or tested on a lattice), and computes the
+endpoint-only thresholds that bound integrals of products of such functions.
+A small CLI (``sugeno-bounds``) exposes the same operations plus a
+``reproduce`` command for the bundled worked cases.
 The package root re-exports the entry points; everything else lives in its
-module (``expr``, ``measure``, ``rootfind``, ``sugeno``, ``convexity``,
-``bounds``, ``cli``).
+module (``expr``, ``measure``, ``rootfind``, ``sugeno``, ``shape``,
+``convexity``, ``bounds``, ``cli``).
 """
 
 from .bounds import hadamard_bound, verify_hadamard

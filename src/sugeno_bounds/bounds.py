@@ -70,6 +70,9 @@ class CaseTag(Enum):
     MIXED = "mixed"
 
 
+_CASES = {(0, 0): CaseTag.DEGENERATE, (1, 1): CaseTag.INCREASING, (-1, -1): CaseTag.DECREASING}
+
+
 @dataclass(frozen=True, slots=True)
 class BetaResult:
     beta: float
@@ -78,17 +81,17 @@ class BetaResult:
     case: CaseTag
 
 
+def _trend(end: float, start: float) -> int:
+    """1 when ``end`` exceeds ``start``, -1 when it falls short, and 0 on a tie: a
+    difference within CASE_TIE_TOL of the larger of |end| and |start|."""
+    tol = CASE_TIE_TOL * max(abs(end), abs(start))
+    return (end - start > tol) - (end - start < -tol)
+
+
 def classify_case(e: EndpointData, p: SMParams) -> CaseTag:
-    """Compare f(b) with m*f(a) and g(b) with m*g(a), with ties up to CASE_TIE_TOL."""
-    df = e.fb - p.m * e.fa
-    dg = e.gb - p.m * e.ga
-    if abs(df) <= CASE_TIE_TOL and abs(dg) <= CASE_TIE_TOL:
-        return CaseTag.DEGENERATE
-    if df > CASE_TIE_TOL and dg > CASE_TIE_TOL:
-        return CaseTag.INCREASING
-    if df < -CASE_TIE_TOL and dg < -CASE_TIE_TOL:
-        return CaseTag.DECREASING
-    return CaseTag.MIXED
+    """Compare f(b) with m*f(a) and g(b) with m*g(a), each factor on its own scale."""
+    trends = (_trend(e.fb, p.m * e.fa), _trend(e.gb, p.m * e.ga))
+    return _CASES.get(trends, CaseTag.MIXED)
 
 
 def kirmaci_bound(e: EndpointData, s: float) -> float:

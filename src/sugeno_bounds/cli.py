@@ -222,6 +222,7 @@ def _report_fields(report) -> list[tuple[str, object]]:
             ("witness_gap", witness[3]),
             ("grid", report.grid),
             ("skipped", report.skipped),
+            ("proven", report.proven),
         ]
     raise TypeError(f"cannot emit a report for {type(report).__name__}")
 
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integral of f*g against the endpoint bounds")
     p.add_argument("--fail-on-violation", action="store_true")
     p = sub.add_parser("convexity", parents=[func, sm, fmt],
-                       help="grid check of (s,m)-convexity in the second sense")
+                       help="(s,m)-convexity: proven from the expression, or checked on a lattice")
     p.add_argument("--grid", type=int, default=DEFAULT_LATTICE,
                    help=f"lattice points per axis (default %(default)s, at most {MAX_LATTICE})")
     p = sub.add_parser("reproduce", parents=[fmt], help="recompute the bundled worked cases")

@@ -5,11 +5,15 @@ A function f belongs to the class K2(s, m) on an interval when
     f(lam*x + m*(1-lam)*y) <= lam**s * f(x) + m*(1-lam)**s * f(y)
 
 for all x, y in the interval and lam in [0, 1], with s, m in (0, 1].
-``check_sm_convex`` tests the inequality on a full (x, y, lam) lattice,
-scanned in slabs of a fixed number of points (whole x rows, or blocks of
-y columns of one x row when a row does not fit) by one compiled array form
-of f, so that memory stays under 2 MB at the largest lattice (time still
-grows as grid^3).
+``check_sm_convex`` first asks the expression tree (``shape.shape_of``).
+A convex f >= 0 on [a, b] is in K2(s, 1) for every s, since lam <= lam**s;
+if f is also convex on [0, b] with f(0) <= 0, then f(m*y) <= m*f(y)
+(Toader's step for m-convex functions), and f is in K2(s, m).  Such a
+member is reported ``proven`` with no lattice scanned.  Every other input
+is tested on a full (x, y, lam) lattice, scanned in slabs of a fixed number
+of points (whole x rows, or blocks of y columns of one x row when a row
+does not fit) by one compiled array form of f, so that memory stays under
+2 MB at the largest lattice (time still grows as grid^3).
 ``envelope`` builds, as an expression, the endpoint power envelope that
 dominates such a function on [a, b]; its value at x is
 
@@ -27,6 +31,7 @@ import numpy as np
 from .exceptions import DomainError, EvalError
 from .expr import _ARRAY, BinOp, FunctionExpr, Num, Var, _compile, evaluate, evaluate_array
 from .measure import Interval
+from .shape import shape_of
 
 __all__ = [
     "SMParams",
@@ -63,6 +68,7 @@ class ConvexityVerdict:
     witness: tuple[float, float, float, float] | None  # (x, y, lam, gap), worst gap
     grid: int
     skipped: int = 0  # lattice combinations with a non-evaluable point
+    proven: bool = False  # membership shown from the expression tree; no lattice was scanned
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +102,40 @@ def check_sm_convex(
     p: SMParams,
     grid: int = DEFAULT_LATTICE,
 ) -> ConvexityVerdict:
+    """Decide the K2(s, m) inequality: proven from the tree, or tested on a grid^3 lattice.
+
+    A member that ``_proven_member`` shows is reported as holding with no
+    witness and nothing skipped (f is finite at every float lattice point),
+    and ``proven`` set; anything else goes to ``_scan_lattice``.
+    """
+    if not 11 <= grid <= MAX_LATTICE:
+        raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
+    if _proven_member(f, base, p):
+        return ConvexityVerdict(True, None, grid, 0, proven=True)
+    return _scan_lattice(f, base, p, grid)
+
+
+def _proven_member(f: FunctionExpr, base: Interval, p: SMParams) -> bool:
+    """Whether the tree shows f in K2(s, m) on ``base``, finite at every float lattice point.
+
+    A lattice point is a convex combination of points of [a, b] (of [0, b]
+    when m < 1, as a >= 0), and its float rounding strays from it by under
+    16 ulps of the larger end.  So f is walked on [a, b] widened by that much:
+    there it must be finite, >= 0 and convex.  When m < 1 it must also be
+    convex on the widened [0, b] and at most 0 at 0.
+    """
+    reach = 16 * math.ulp(base.b)
+    top = base.b + reach
+    on_base = shape_of(f.root, max(base.a - reach, 0.0), top)
+    if on_base is None or on_base.lo < 0.0 or on_base.curve not in (0, 1):
+        return False
+    if p.m == 1.0:
+        return True
+    origin, whole = shape_of(f.root, 0.0, 0.0), shape_of(f.root, 0.0, top)
+    return origin is not None and origin.hi <= 0.0 and whole is not None and whole.curve in (0, 1)
+
+
+def _scan_lattice(f: FunctionExpr, base: Interval, p: SMParams, grid: int) -> ConvexityVerdict:
     """Test the K2(s, m) inequality on a grid^3 lattice over (x, y, lam).
 
     Combination points can fall outside [a, b] when m < 1; the inequality is
@@ -116,8 +156,6 @@ def check_sm_convex(
     only a slab whose largest or smallest gap is not finite looks for skips;
     ``np.argmax`` stops at a slab's first NaN.
     """
-    if not 11 <= grid <= MAX_LATTICE:
-        raise ValueError(f"grid must be between 11 and {MAX_LATTICE} points per axis, got {grid}")
     xs = np.linspace(base.a, base.b, grid)
     lams = np.linspace(0.0, 1.0, grid)
     f_ends = evaluate_array(f, xs)

@@ -88,6 +88,7 @@ witness_lambda  -
 witness_gap     -
 grid            41
 skipped         0
+proven          true
 """),
 ]
 
@@ -192,9 +193,9 @@ def test_convexity_text_and_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["holds_on_grid", "witness_x", "witness_y",
-                       "witness_lambda", "witness_gap", "grid", "skipped"]
+                       "witness_lambda", "witness_gap", "grid", "skipped", "proven"]
     assert len(rows[1]) == len(rows[0])
-    assert rows[1][0] == "false"
+    assert rows[1][0] == "false" and rows[1][-1] == "false"
 
 
 def test_convexity_csv_constant_columns_when_holds(capsys):

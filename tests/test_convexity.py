@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from reference import check_envelope_dominates, check_sm_convex_whole, power_sum_gap
 from sugeno_bounds import convexity, expr
 from sugeno_bounds.convexity import (
+    DEFAULT_LATTICE,
     MAX_LATTICE,
     ConvexityVerdict,
     EndpointData,
@@ -23,10 +25,11 @@ from sugeno_bounds.convexity import (
     envelope,
 )
 from sugeno_bounds.exceptions import DomainError, EvalError
-from sugeno_bounds.expr import (BinOp, Call, FunctionExpr, Num, Var, evaluate, evaluate_array,
+from sugeno_bounds.expr import (BinOp, Call, FunctionExpr, Neg, Num, Var, evaluate, evaluate_array,
                                 parse)
 from sugeno_bounds.measure import Interval
 from test_expr import _trees
+from test_sugeno import _load_bench_gen
 
 
 def test_params_validation():
@@ -41,6 +44,7 @@ def test_params_validation():
     SMParams(0.5, 0.75),
     ConvexityVerdict(False, (0.0, 0.4, 0.4, 0.3117362800537964), 11, 244),
     ConvexityVerdict(True, None, 101),
+    ConvexityVerdict(True, None, 41, 0, proven=True),
     EndpointData(fa=1.0, fb=8.0, ga=1.0, gb=2.0),
 ], ids=lambda value: type(value).__name__)
 def test_result_classes_are_slotted_and_round_trip(value):
@@ -119,16 +123,104 @@ def test_membership_holds_on_coarse_grid():
     assert verdict.grid == 21
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 9: the worst gap is compared with an absolute 1e-12, so "
-                          "the rounding of a positively scaled convex function refutes it")
 @pytest.mark.parametrize("text,interval", [("1000*x^2", (1.0, 4.0)), ("1e6*x^2", (0.0, 1.0))])
 def test_membership_is_invariant_under_positive_scaling(text, interval):
-    # x^2 is (1,1)-convex and the class is closed under f -> c*f for c > 0; today
-    # the witnesses sit at x = y, where the inequality is an identity at s = m = 1,
-    # with gaps 5.46e-12 at x = 3.325 and 3.49e-10 at x = 0.95
+    # x^2 is (1,1)-convex and the class is closed under f -> c*f for c > 0; the
+    # lattice's absolute 1e-12 slack would refute these by rounding alone (gaps
+    # 5.46e-12 at x = 3.325 and 3.49e-10 at x = 0.95, where x = y makes the
+    # inequality an identity), but the tree proves them
     verdict = check_sm_convex(parse(text), Interval(*interval), SMParams(1.0, 1.0))
-    assert verdict.holds_on_grid, verdict
+    assert verdict.holds_on_grid and verdict.proven, verdict
+
+
+@pytest.mark.parametrize("text,interval,s,m", [
+    ("x^2/2", (0.0, 1.0), 1.0 / 3.0, 1.0),
+    ("x^3/2", (0.0, 1.0), 1.0 / 3.0, 1.0),
+    ("x^(3/2)", (1.0, 4.0), 1.0, 1.0),
+    ("1/x^2", (1.0, 2.0), 1.0, 1.0),
+    ("1/pow(x,2)", (1.0, 2.0), 0.5, 1.0),
+    ("2/sqrt(x)+abs(x-1.5)", (1.0, 2.0), 0.5, 1.0),
+    ("(0.7)*exp((-0.4)*x)", (1.0, 3.0), 0.6, 1.0),
+    ("(1.5)*x^(2.1)", (1.0, 3.0), 0.5, 0.7),
+    ("0", (0.0, 1.0), 0.4, 0.7),
+])
+def test_convex_members_are_proven(text, interval, s, m):
+    # a convex f >= 0 is in K2(s, 1), and also in K2(s, m) when it is convex on
+    # [0, b] with f(0) <= 0; the four C9 memberships come first
+    verdict = check_sm_convex(parse(text), Interval(*interval), SMParams(s, m))
+    assert verdict == ConvexityVerdict(True, None, DEFAULT_LATTICE, 0, proven=True)
+
+
+_NEVER_PROVEN = [
+    ("1/2-abs(x-1/2)", (0.0, 1.0), 1.0, 1.0),  # the tent: concave
+    ("x^(1/2)", (1.0, 4.0), 1.0, 1.0),  # concave
+    ("(1.3)*x^(0.9995)", (1.0, 3.0), 1.0, 1.0),  # a near-linear concave power (convexity_case kind 3)
+    ("(1.2)*(x-(0.9))^(1.5)", (1.0, 2.5), 0.8, 0.7),  # a shifted power at m < 1 (kind 2), undefined at 0
+    ("(1.2)*x^(0.8)", (1.0, 2.5), 0.8, 0.7),  # c*x^p with p < 1
+    ("(0.7)*exp((0.4)*x)", (1.0, 3.0), 0.6, 0.9),  # exp at m < 1: f(0) > 0
+    ("x^2-1", (0.0, 2.0), 1.0, 1.0),  # convex but negative near 0
+    ("x^2-1", (0.0, 2.0), 0.5, 0.5),
+    ("x*x", (0.0, 1.0), 1.0, 1.0),  # no rule for a product of two terms in x
+    ("x/(x+1)", (1.0, 3.0), 1.0, 1.0),  # nor for a quotient; this one is concave
+    ("0-ln(x)", (0.0, 0.5), 1.0, 1.0),  # unbounded at 0
+    ("1.7e308*(1-2*x)", (0.0, 1.0), 0.5, 1.0),
+]
+
+
+@pytest.mark.parametrize("text,interval,s,m", _NEVER_PROVEN)
+def test_non_members_and_doubtful_inputs_are_not_proven(text, interval, s, m):
+    f, base, p = parse(text), Interval(*interval), SMParams(s, m)
+    assert not convexity._proven_member(f, base, p)
+    assert check_sm_convex(f, base, p) == convexity._scan_lattice(f, base, p, DEFAULT_LATTICE)
+
+
+def _shaped_trees(depth):
+    # every node kind that the shape rules read, with constants that keep the
+    # values small enough for rounding not to swamp an absolute 1e-12
+    if depth == 0:
+        return _trees(0)
+    sub = _shaped_trees(depth - 1)
+    return st.one_of(
+        _trees(0),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), sub, sub),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(["exp", "sqrt", "ln", "abs"]), sub),
+        st.builds(lambda a, b: Call("pow", (a, b)), sub, sub),
+        st.builds(lambda a: BinOp("-", a, Num(2.0)), sub),
+        sub.map(Neg),
+    )
+
+
+def _tree_inputs():
+    def case(tree, a, width, s, m):
+        return FunctionExpr(tree), Interval(a, a + width), SMParams(s, m)
+    return st.builds(case, st.one_of(_trees(4), _shaped_trees(3)), st.floats(0.0, 3.0),
+                     st.floats(0.5, 3.0), st.floats(0.05, 1.0), st.sampled_from([1.0, 0.5, 0.9]))
+
+
+def _bench_inputs():
+    gen = _load_bench_gen()
+
+    def draw(seed, i):
+        fn, a, b, s, m = gen.convexity_case(random.Random(seed), i)
+        return parse(fn.text), Interval(a, b), SMParams(s, m)
+    return st.builds(draw, st.integers(0, 2**32 - 1), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(_tree_inputs(), _bench_inputs()))
+@example(case=(parse("(1.5)*x^(2.1)"), Interval(1.0, 3.0), SMParams(0.5, 0.7)))
+@example(case=(parse("1e6*x^2"), Interval(0.0, 1.0), SMParams(1.0, 1.0)))
+def test_proven_members_hold_on_the_lattice(case):
+    # the proof is sound: wherever it claims membership, the lattice skips
+    # nothing and finds no gap beyond rounding at f's scale
+    f, base, p = case
+    if not convexity._proven_member(f, base, p):
+        return
+    verdict = convexity._scan_lattice(f, base, p, 41)
+    assert verdict.skipped == 0
+    worst = 0.0 if verdict.holds_on_grid else verdict.witness[3]
+    scale = np.max(np.abs(evaluate_array(f, np.linspace(base.a, base.b, 41))))
+    assert worst <= 1e-12 * max(1.0, scale), verdict
 
 
 def test_tent_violation_witness():
@@ -245,7 +337,7 @@ def test_slabs_match_whole_lattice(tree, a, width, cut, s, m, grid, slab_points)
     f, base, p = FunctionExpr(tree), Interval(a, a + width), SMParams(s, m)
     want = _verdict_or_error(check_sm_convex_whole, f, base, p, grid)
     with mock.patch.object(convexity, "_SLAB_POINTS", slab_points):
-        got = _verdict_or_error(check_sm_convex, f, base, p, grid)
+        got = _verdict_or_error(convexity._scan_lattice, f, base, p, grid)
     assert got == want
 
 
@@ -322,10 +414,11 @@ def test_lattice_memory_is_bounded():
     f, base, p = parse("x^(1/2)"), Interval(1.0, 4.0), SMParams(0.5, 0.7)
     tracemalloc.start()
     try:
-        check_sm_convex(f, base, p, grid=MAX_LATTICE)
+        verdict = check_sm_convex(f, base, p, grid=MAX_LATTICE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert not verdict.proven  # the lattice was scanned
     assert peak < 4 * 2**20, peak
 
 

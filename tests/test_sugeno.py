@@ -566,11 +566,35 @@ def _bisect(beyond, lo, hi):
     return hi
 
 
+def _illinois(g, lo, hi):
+    """The sign change of a continuous ``g`` between ``lo`` and ``hi``, by regula falsi with the
+    Illinois halving (Dowell & Jarratt, BIT 11, 1971), to a bracket of 1e-45 of hi - lo; each
+    step keeps a bracket, as bisection does."""
+    glo, ghi, width = g(lo), g(hi), abs(hi - lo) * mpmath.mpf(10) ** -45
+    kept = None  # the end that the last step kept
+    for _ in range(500):
+        if abs(hi - lo) <= width:
+            return hi
+        mid = hi - ghi * (hi - lo) / (ghi - glo)
+        gmid = g(mid)
+        if gmid == 0:
+            return mid
+        if (gmid > 0) == (ghi > 0):
+            hi, ghi = mid, gmid
+            glo, kept = (glo / 2 if kept == "lo" else glo), "lo"
+        else:
+            lo, glo = mid, gmid
+            ghi, kept = (ghi / 2 if kept == "hi" else ghi), "hi"
+    raise AssertionError(f"no 50-digit sign change of g between {lo} and {hi} in 500 steps")
+
+
 def _turning_truth(src, base):
     """S of a piecewise-monotone ``src`` over ``base`` under Lebesgue measure at 50 digits:
     each turning point, a sign change of a finite difference between two of 2001 evenly
     spaced points refined by bisection, ends a monotone run; F(alpha) sums the runs'
-    level lengths, each crossing bisected, and S is where F(alpha) >= alpha stops holding."""
+    level lengths, each crossing solved by ``_illinois``, and S is where F(alpha) - alpha
+    changes sign, solved by ``_illinois`` too, since these integrands have no flat run and
+    so F is continuous."""
     f = expr._compile(parse(src).root, _MP_OPS)
     a, b, dx, scan = mpmath.mpf(base.a), mpmath.mpf(base.b), mpmath.mpf(10) ** -30, 2000
 
@@ -584,19 +608,19 @@ def _turning_truth(src, base):
     turns = [_bisect(lambda x, up=up: rises(x) == up, lo, hi)
              for lo, hi, was, up in zip(xs, xs[1:], ups, ups[1:]) if up != was]
     ends = [a, *turns, b]
+    runs = [(lo, hi, f(lo), f(hi)) for lo, hi in zip(ends, ends[1:])]
 
     def length(alpha):
         total = mpmath.mpf(0)
-        for lo, hi in zip(ends, ends[1:]):
-            if f(lo) >= alpha and f(hi) >= alpha:
+        for lo, hi, f_lo, f_hi in runs:
+            if f_lo >= alpha and f_hi >= alpha:
                 total += hi - lo
-            elif f(lo) >= alpha:
-                total += _bisect(lambda x: f(x) < alpha, lo, hi) - lo
-            elif f(hi) >= alpha:
-                total += hi - _bisect(lambda x: f(x) >= alpha, lo, hi)
+            elif f_lo >= alpha or f_hi >= alpha:
+                cut = _illinois(lambda x: f(x) - alpha, lo, hi)
+                total += cut - lo if f_lo >= alpha else hi - cut
         return total
 
-    return _bisect(lambda alpha: length(alpha) < alpha, mpmath.mpf(0), b - a)
+    return _illinois(lambda alpha: length(alpha) - alpha, mpmath.mpf(0), b - a)
 
 
 @pytest.mark.parametrize("src,base,components,closed_form", [
