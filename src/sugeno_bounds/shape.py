@@ -16,17 +16,16 @@ variable:
 * ``exp`` keeps its argument's direction, and is convex of a convex term;
 * ``u^p`` (and ``pow``) needs u >= 0, and u > 0 when p < 0.  It keeps u's
   direction for p > 0 and flips it for p < 0.  It is convex for p >= 1 and
-  a convex u, concave for 0 < p <= 1 and a concave u, and convex for p < 0
-  and a concave u.  ``sqrt`` is ``u^(1/2)``;
-* ``c/w`` is ``c*w^(-1)``, and ``c/u^q`` is ``c*u^(-q)``;
-* ``ln`` of u > 0 keeps its direction, and is concave of a concave term;
-* ``abs`` of a term >= 0 is the term and of a term <= 0 its negation; of an
-  affine term that changes sign, it is convex.
+  a convex u, and for p < 0 and a concave u;
+* ``c/w`` is ``c*w^(-1)``, and ``c/u^q`` is ``c*u^(-q)``; u and q are walked
+  once, so the walk stays linear in the tree's size;
+* ``abs`` of an affine term is convex, with range [0, max(-lo, hi)];
+* ``sqrt`` and ``ln`` of a non-constant term have no rule.
 
 Each rule is monotone in each operand, so a node's range comes from its
 operands' ranges through the node's own operation: for a monotone node that
 is its values at the interval's ends.  Each computed end is rounded outward
-by an ulp (libm's ``exp``, ``pow`` and ``log`` are taken to be within an ulp)
+by an ulp (libm's ``exp`` and ``pow`` are taken to be within an ulp)
 before any sign test reads it.  A computed 0 stays as it is: a float sum is
 0 only when it is exactly 0, and ``0^p`` is exactly 0.
 """
@@ -73,10 +72,19 @@ def _walk(node: Node, lo: float, hi: float) -> Shape | None:
         u = _walk(node.args[0], lo, hi)
         if u is None or _fixed(u):
             return u and _const(_SCALAR[node.name](u.lo))
-        return _CALLS[node.name](u)
+        rule = _CALLS.get(node.name)  # sqrt and ln of a non-constant term have none
+        return rule and rule(u)
     op, left, right = (node.op, node.left, node.right) if kind is BinOp else ("^", *node.args)
-    u, v = _walk(left, lo, hi), _walk(right, lo, hi)
-    if u is None or v is None:
+    u = _walk(left, lo, hi)
+    if u is None:
+        return None
+    parts = _power_parts(right) if op == "/" and _fixed(u) else None
+    if parts:  # c/u^q is c*u^(-q): walk u and q once each, and u^q from them
+        w, q = _walk(parts[0], lo, hi), _walk(parts[1], lo, hi)
+        v = w and q and _raised(w, q)
+    else:
+        v = _walk(right, lo, hi)
+    if v is None:
         return None
     if _fixed(u) and _fixed(v):
         return _const(_SCALAR[op](u.lo, v.lo))
@@ -86,12 +94,17 @@ def _walk(node: Node, lo: float, hi: float) -> Shape | None:
         return _scaled(u, v.lo, operator.mul if op == "*" else operator.truediv)
     if op == "*" and _fixed(u):
         return _scaled(v, u.lo, operator.mul)
-    if op == "/" and _fixed(u):  # c/w is c*w^(-1), and c/u^q is c*u^(-q), where q is constant
-        parts = _power_parts(right)
-        inverse = (_power(_walk(parts[0], lo, hi), -_walk(parts[1], lo, hi).lo) if parts
-                   else _power(v, -1.0))
+    if op == "/" and _fixed(u):  # c/w is c*w^(-1)
+        inverse = _power(w, -q.lo) if parts else _power(v, -1.0)
         return inverse and _scaled(inverse, u.lo, operator.mul)
-    return _power(u, v.lo) if _fixed(v) else None
+    return _raised(u, v)
+
+
+def _raised(u: Shape, v: Shape) -> Shape | None:
+    """``u^v``: a constant when both are, and for a constant exponent only."""
+    if _fixed(v):
+        return _const(_SCALAR["^"](u.lo, v.lo)) if _fixed(u) else _power(u, v.lo)
+    return None
 
 
 def _power_parts(node: Node):
@@ -152,27 +165,15 @@ def _power(u: Shape | None, p: float) -> Shape | None:
     ends = math.pow(u.lo, p), math.pow(u.hi, p)
     if p < 0.0:
         return _out(ends[1], ends[0], _flip(u.slope), 1 if u.curve in (0, -1) else None)
-    if p >= 1.0 and u.curve in (0, 1):
-        return _out(*ends, u.slope, 1)
-    return _out(*ends, u.slope, -1 if p <= 1.0 and u.curve in (0, -1) else None)
+    return _out(*ends, u.slope, 1 if p >= 1.0 and u.curve in (0, 1) else None)
 
 
 def _exp(u: Shape) -> Shape | None:
     return _out(math.exp(u.lo), math.exp(u.hi), u.slope, 1 if u.curve in (0, 1) else None)
 
 
-def _ln(u: Shape) -> Shape | None:
-    if not u.lo > 0.0:
-        return None
-    return _out(math.log(u.lo), math.log(u.hi), u.slope, -1 if u.curve in (0, -1) else None)
+def _abs(u: Shape) -> Shape | None:
+    return Shape(0.0, max(-u.lo, u.hi), None, 1) if u.curve == 0 else None
 
 
-def _abs(u: Shape) -> Shape:
-    if u.lo >= 0.0:
-        return u
-    if u.hi <= 0.0:
-        return _negated(u)
-    return Shape(0.0, max(-u.lo, u.hi), None, 1 if u.curve == 0 else None)
-
-
-_CALLS = {"exp": _exp, "sqrt": lambda u: _power(u, 0.5), "ln": _ln, "abs": _abs}
+_CALLS = {"exp": _exp, "abs": _abs}

@@ -44,12 +44,22 @@ def test_classify_respects_m():
 
 
 def test_classify_tie_tolerance():
-    # differences within CASE_TIE_TOL = 1e-9 count as ties; past it they do not
+    # a factor's difference within CASE_TIE_TOL = 1e-9 times the larger of its
+    # two compared values is a tie; clearly past that it is not
     p = SMParams(1.0, 1.0)
     e = EndpointData(1.0, 1.0 + 5e-10, 2.0, 2.0 - 5e-10)
     assert classify_case(e, p) is CaseTag.DEGENERATE
-    e = EndpointData(1.0, 1.0 + 2e-9, 2.0, 2.0 - 2e-9)
+    e = EndpointData(1.0, 1.0 + 2e-9, 2.0, 2.0 - 5e-9)
     assert classify_case(e, p) is CaseTag.MIXED
+    e = EndpointData(1.0, 1.0 + 2e-9, 2.0, 2.0 + 5e-9)
+    assert classify_case(e, p) is CaseTag.INCREASING
+    e = EndpointData(1.0, 1.0 + 2e-9, 2.0, 2.0 + 1e-9)  # g ties at its scale 2
+    assert classify_case(e, p) is CaseTag.MIXED
+    # at scale 1e6 the tie reaches about 1e-3
+    e = EndpointData(1e6, 1e6 + 5e-4, 1e6, 1e6 + 5e-4)
+    assert classify_case(e, p) is CaseTag.DEGENERATE
+    e = EndpointData(1e6, 1e6 + 5e-3, 1e6, 1e6 + 5e-3)
+    assert classify_case(e, p) is CaseTag.INCREASING
 
 
 def test_case_split_is_invariant_under_positive_scaling():

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import check_envelope_dominates, check_sm_convex_whole, power_sum_gap
-from sugeno_bounds import convexity, expr
+from sugeno_bounds import convexity, expr, shape
 from sugeno_bounds.convexity import (
     DEFAULT_LATTICE,
     MAX_LATTICE,
@@ -139,7 +140,7 @@ def test_membership_is_invariant_under_positive_scaling(text, interval):
     ("x^(3/2)", (1.0, 4.0), 1.0, 1.0),
     ("1/x^2", (1.0, 2.0), 1.0, 1.0),
     ("1/pow(x,2)", (1.0, 2.0), 0.5, 1.0),
-    ("2/sqrt(x)+abs(x-1.5)", (1.0, 2.0), 0.5, 1.0),
+    ("2/(3-x)+abs(x-1.5)", (1.0, 2.0), 0.5, 1.0),
     ("(0.7)*exp((-0.4)*x)", (1.0, 3.0), 0.6, 1.0),
     ("(1.5)*x^(2.1)", (1.0, 3.0), 0.5, 0.7),
     ("0", (0.0, 1.0), 0.4, 0.7),
@@ -172,6 +173,26 @@ def test_non_members_and_doubtful_inputs_are_not_proven(text, interval, s, m):
     f, base, p = parse(text), Interval(*interval), SMParams(s, m)
     assert not convexity._proven_member(f, base, p)
     assert check_sm_convex(f, base, p) == convexity._scan_lattice(f, base, p, DEFAULT_LATTICE)
+
+
+@pytest.mark.parametrize("form", ["1/({})^1", "1/pow({},1)"])
+def test_shape_walk_is_linear_in_a_reciprocal_power_nest(form, monkeypatch):
+    # c/u^q reads u once: a nest 45 levels deep is walked once per node, where
+    # walking u both as u^q and as u alone would take about 2^45 walks
+    text = "x"
+    for _ in range(45):
+        text = form.format(text)
+    calls, walk = [0], shape._walk
+
+    def counted(node, lo, hi):
+        calls[0] += 1
+        assert calls[0] <= 4 * 45 + 1, "the walk revisits subtrees"
+        return walk(node, lo, hi)
+    monkeypatch.setattr(shape, "_walk", counted)
+    start = time.perf_counter()
+    got = shape.shape_of(parse(text).root, 1.0, 2.0)
+    assert time.perf_counter() - start < 1.0
+    assert got is not None and got.slope == -1 and got.lo <= 0.5 and got.hi >= 1.0, got
 
 
 def _shaped_trees(depth):
