@@ -21,10 +21,17 @@ The bound is the paper's, and it is not valid in general: for f = g = 2x on
 beta is 4 - 2*sqrt(3) = 0.5359.
 
 ``solve_sup_threshold`` trusts its G to be non-increasing.  The envelope
-product can rise in the decreasing case with m < 1 (a factor length
-w * Q**(1/s) + (m*a - a) can turn negative), so ``endpoint_bound`` probes F
-at a few points after the solve and warns if it rises; the integral engine's
-F is a distribution function and needs no probe.
+product F is non-increasing in all but one case.  No factor length grows with
+beta.  An increasing-case length w * (1 - Q**(1/s)) is never negative,
+and neither is a decreasing-case length w * Q**(1/s) + shift when
+shift = m*a - a is 0 (m = 1 or a = 0).  With shift < 0, a decreasing-case
+length turns negative past its zero crossing
+z = m * 2**(1-s) * f(a) + (f(b) - m*f(a)) * (-shift/w)**s.  Between the two
+crossings F is negative, below every threshold, so no rise there can change
+the answer; beyond the later one both lengths are negative and falling, so F
+rises from 0.  ``endpoint_bound`` warns exactly when that later crossing lies
+below the solve's upper end max(w**2, b - a).  The integral engine's F is a
+distribution function and needs no such test.
 
 ``verify_hadamard`` computes the integral of f*g, the bound, and the
 endpoint (Kirmaci-type) comparison value, and reports the measured margin;
@@ -60,7 +67,6 @@ __all__ = [
 
 CASE_TIE_TOL = 1e-9
 HOLDS_TOL = 1e-6
-_PROBE_POINTS = 8
 
 
 class CaseTag(Enum):
@@ -136,13 +142,16 @@ def envelope_distribution(
     return F
 
 
-def _warn_if_rising(F: Callable[[float], float], lo: float, hi: float) -> None:
-    ts = [lo + k * (hi - lo) / (_PROBE_POINTS + 1) for k in range(1, _PROBE_POINTS + 1)]
-    fs = [F(t) for t in ts]
-    slack = 1e-9 * (1.0 + max(abs(v) for v in fs))
-    if any(cur > prev + slack for prev, cur in zip(fs, fs[1:])):
-        warnings.warn("endpoint_bound: the envelope distribution does not look non-increasing; "
-                      "the returned threshold may not be the supremum", RuntimeWarning, stacklevel=3)
+def _rise_start(e: EndpointData, base: Interval, p: SMParams) -> float:
+    """Where the decreasing case's F starts to rise from 0: the later of the two zero
+    crossings m*2**(1-s)*f(a) + (f(b) - m*f(a)) * (-shift/w)**s of the factor
+    lengths w*Q**(1/s) + shift, with shift = m*a - a; inf when shift is 0."""
+    shift = p.m * base.a - base.a
+    if shift == 0.0:
+        return math.inf
+    r = (-shift / (base.b - p.m * base.a)) ** p.s
+    c = p.m * 2.0 ** (1.0 - p.s)
+    return max(c * fa + (fb - p.m * fa) * r for fa, fb in ((e.fa, e.fb), (e.ga, e.gb)))
 
 
 def endpoint_bound(
@@ -172,7 +181,9 @@ def endpoint_bound(
     hi = max(w * w, base.length)
     beta, _ = solve_sup_threshold(F, 0.0, hi)
     residual = abs(F(beta) - beta)
-    _warn_if_rising(F, 0.0, hi)
+    if tag is CaseTag.DECREASING and _rise_start(e, base, p) < hi:
+        warnings.warn("endpoint_bound: the envelope distribution does not look non-increasing; "
+                      "the returned threshold may not be the supremum", RuntimeWarning, stacklevel=2)
     return BetaResult(beta, residual, min(beta, base.length), tag)
 
 

@@ -11,7 +11,11 @@ Usage examples::
 
 Output formats: text (default, 6 significant digits), json (one object per
 run, full precision), csv (constant column count).  Identical invocations
-produce byte-identical stdout.
+produce byte-identical stdout.  A report's fields are its result class's
+fields, in order: ``alpha_bracket`` prints as ``alpha_lo`` and ``alpha_hi``,
+a witness as ``witness_x``, ``witness_y``, ``witness_lambda`` and
+``witness_gap`` (each ``None`` without one), and a case tag by its value.
+``verify`` lists its columns, which interleave its two nested results.
 
 ``--measure lebesgue`` (the default) is the identity distortion phi(t) = t.
 An expression that starts with ``-`` is passed with ``=``, as in
@@ -39,22 +43,17 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from enum import Enum
 
-from .bounds import (
-    BetaResult,
-    VerificationReport,
-    endpoint_bound,
-    hadamard_bound,
-    kirmaci_bound,
-    verify_hadamard,
-)
-from .convexity import (DEFAULT_LATTICE, MAX_LATTICE, ConvexityVerdict, EndpointData, SMParams,
-                        check_sm_convex, envelope)
+from .bounds import (VerificationReport, endpoint_bound, hadamard_bound, kirmaci_bound,
+                     verify_hadamard)
+from .convexity import (DEFAULT_LATTICE, MAX_LATTICE, EndpointData, SMParams, check_sm_convex,
+                        envelope)
 from .exceptions import NoAnswerError
 from .expr import FunctionExpr, parse, product
 from .measure import Interval, distortion, lebesgue
-from .sugeno import DEFAULT_GRID, MAX_GRID, IntegralResult, sugeno_integral
+from .sugeno import DEFAULT_GRID, MAX_GRID, sugeno_integral
 
 __all__ = ["ReproduceRow", "reproduce", "emit_report", "build_parser", "run", "main"]
 
@@ -75,9 +74,6 @@ class ReproduceRow:
     abs_diff: float
     verdict: str
     note: str = ""
-
-
-_REPRODUCE_HEADER = tuple(f.name for f in fields(ReproduceRow))
 
 
 def _row(case_id, quantity, golden, computed, verdict=None, note=""):
@@ -186,45 +182,26 @@ def _csv_text(header, rows) -> str:
 
 
 def _report_fields(report) -> list[tuple[str, object]]:
-    if isinstance(report, IntegralResult):
-        return [
-            ("value", report.value),
-            ("residual", report.residual),
-            ("alpha_lo", report.alpha_bracket[0]),
-            ("alpha_hi", report.alpha_bracket[1]),
-            ("grid_points", report.grid_points),
-        ]
-    if isinstance(report, BetaResult):
-        return [
-            ("beta", report.beta),
-            ("residual", report.residual),
-            ("bound", report.bound),
-            ("case", report.case.value),
-        ]
+    """A report's ``(name, value)`` columns.  A result's fields come in its class's
+    order, with a bracket or a witness split into its parts (None in each part when
+    there is none) and an enum given by its value.  A verification lists its
+    columns, since they interleave its two nested results."""
     if isinstance(report, VerificationReport):
-        return [
-            ("integral", report.integral.value),
-            ("beta", report.hadamard.beta),
-            ("bound", report.hadamard.bound),
-            ("kirmaci", report.kirmaci),
-            ("case", report.hadamard.case.value),
-            ("holds", report.holds),
-            ("margin", report.margin),
-            ("residual", report.hadamard.residual),
-        ]
-    if isinstance(report, ConvexityVerdict):
-        witness = report.witness or (None, None, None, None)
-        return [
-            ("holds_on_grid", report.holds_on_grid),
-            ("witness_x", witness[0]),
-            ("witness_y", witness[1]),
-            ("witness_lambda", witness[2]),
-            ("witness_gap", witness[3]),
-            ("grid", report.grid),
-            ("skipped", report.skipped),
-            ("proven", report.proven),
-        ]
-    raise TypeError(f"cannot emit a report for {type(report).__name__}")
+        integral, hadamard = report.integral, report.hadamard
+        return [("integral", integral.value), ("beta", hadamard.beta), ("bound", hadamard.bound),
+                ("kirmaci", report.kirmaci), ("case", hadamard.case.value),
+                ("holds", report.holds), ("margin", report.margin),
+                ("residual", hadamard.residual)]
+    parts = {"alpha_bracket": ("alpha_lo", "alpha_hi"),
+             "witness": ("witness_x", "witness_y", "witness_lambda", "witness_gap")}
+    pairs = []
+    for name in (field.name for field in fields(report)):
+        value = getattr(report, name)
+        if name in parts:
+            pairs += zip(parts[name], value or [None] * len(parts[name]))
+        else:
+            pairs.append((name, value.value if isinstance(value, Enum) else value))
+    return pairs
 
 
 def emit_report(report, fmt: str = "text") -> str:
@@ -233,17 +210,19 @@ def emit_report(report, fmt: str = "text") -> str:
         raise ValueError(f"unknown format {fmt!r}")
 
     if isinstance(report, list) and all(isinstance(r, ReproduceRow) for r in report):
+        if fmt == "text":
+            lines = _columns([("case", "quantity", "expected", "computed", "diff", "verdict")] + [
+                (r.case_id, r.quantity, _cell(r.paper_value), _cell(r.computed_value),
+                 _cell(r.abs_diff), r.verdict)
+                for r in report
+            ])
+            notes = [f"note [{r.case_id}]: {r.note}" for r in report if r.note]
+            return "\n".join(lines + notes)
+        rows = [_report_fields(r) for r in report]
         if fmt == "json":
-            return json.dumps({"rows": [asdict(r) for r in report]}, allow_nan=False)
-        if fmt == "csv":
-            return _csv_text(_REPRODUCE_HEADER, [astuple(r) for r in report])
-        lines = _columns([("case", "quantity", "expected", "computed", "diff", "verdict")] + [
-            (r.case_id, r.quantity, _cell(r.paper_value), _cell(r.computed_value),
-             _cell(r.abs_diff), r.verdict)
-            for r in report
-        ])
-        notes = [f"note [{r.case_id}]: {r.note}" for r in report if r.note]
-        return "\n".join(lines + notes)
+            return json.dumps({"rows": [dict(pairs) for pairs in rows]}, allow_nan=False)
+        return _csv_text([field.name for field in fields(ReproduceRow)],
+                         [[value for _, value in pairs] for pairs in rows])
 
     pairs = _report_fields(report)
     if fmt == "json":

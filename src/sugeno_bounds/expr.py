@@ -9,9 +9,11 @@ Grammar (standard infix over the single variable ``x``)::
     atom    := NUMBER | 'x' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 Named functions: ``sqrt``, ``exp``, ``ln``, ``abs`` (one argument) and
-``pow`` (two arguments).  Unary minus binds below ``^``, so ``-x^2`` means
-``-(x^2)``.  There is no implicit multiplication.  Parsed trees are
-immutable and evaluation is pure, so expressions are safe to share.
+``pow`` (two arguments).  ``pow(u, v)`` parses to the node of ``u^v``, so a
+power has one node shape and every other call takes one argument.  Unary
+minus binds below ``^``, so ``-x^2`` means ``-(x^2)``.  There is no implicit
+multiplication.  Parsed trees are immutable and evaluation is pure, so
+expressions are safe to share.
 
 ``parse`` rejects an expression nested deeper than ``MAX_DEPTH`` levels in
 the grammar (parentheses, unary minus, ``^``, call arguments) or in the tree
@@ -182,7 +184,7 @@ class _Parser:
             self.expect(")")
             if len(args) != arity:
                 raise ParseError(pos, f"{text} takes {arity} argument(s), got {len(args)}")
-            return Call(text, tuple(args))
+            return BinOp("^", *args) if text == "pow" else Call(text, tuple(args))
         if kind == "end":
             raise ParseError(pos, "unexpected end of input")
         raise ParseError(pos, f"unexpected {text!r}")
@@ -243,13 +245,10 @@ def _compile(node: Node, ops: dict):
     if kind is Neg:
         operand = _compile(node.operand, ops)
         return lambda x: -operand(x)
-    if kind is Call and len(node.args) == 1:
+    if kind is Call:
         op, arg = ops[node.name], _compile(node.args[0], ops)
         return lambda x: op(arg(x))
-    if kind is BinOp:
-        op, left, right = ops[node.op], node.left, node.right
-    else:
-        op, (left, right) = ops[node.name], node.args
+    op, left, right = ops[node.op], node.left, node.right
     if type(right) is Num:
         b, first = right.value, _compile(left, ops)
         return lambda x: op(first(x), b)
@@ -307,7 +306,7 @@ def _ln(a: float) -> float:
 
 
 _SCALAR = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
-           "^": _power, "pow": _power, "exp": _exp, "sqrt": _sqrt, "ln": _ln, "abs": abs}
+           "^": _power, "exp": _exp, "sqrt": _sqrt, "ln": _ln, "abs": abs}
 
 
 def _nan_where_operand_nonfinite(ufunc):
@@ -328,16 +327,16 @@ _checked_power = _nan_where_operand_nonfinite(np.power)
 
 
 def _array_power(a, b):
-    """Array table entry for ^ and pow; no check for a positive finite float exponent."""
+    """Array table entry for ^; no check for a positive finite float exponent."""
     if isinstance(a, float) or not (isinstance(b, float) and 0.0 < b < math.inf):
         return _checked_power(a, b)
     return np.power(a, b)
 
 
-# / and exp check every array operand; ^ and pow check as _array_power says.
+# / and exp check every array operand; ^ checks as _array_power says.
 _ARRAY = {"+": np.add, "-": np.subtract, "*": np.multiply,
           "/": _nan_where_operand_nonfinite(np.divide),
-          "^": _array_power, "pow": _array_power,
+          "^": _array_power,
           "exp": _nan_where_operand_nonfinite(np.exp),
           "sqrt": np.sqrt, "ln": np.log, "abs": np.abs}
 

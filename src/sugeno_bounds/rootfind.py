@@ -14,7 +14,7 @@ the crossing cell; its h stops that refinement by returning None once the
 bracket settles the step.  Nothing in the package calls
 ``solve_sign_change`` itself.
 Neither probes G for monotonicity: the integral's G is non-increasing by
-construction, and ``bounds.endpoint_bound``, whose G can rise, probes its own.
+construction, and ``bounds.endpoint_bound``, whose G can rise, tests its own.
 Every bisection stops at one absolute width, ``TOL``, or at float resolution.
 """
 

@@ -14,9 +14,9 @@ variable:
   ``-`` flips its right side, a positive constant factor or divisor keeps
   the shape, and a negative one flips it;
 * ``exp`` keeps its argument's direction, and is convex of a convex term;
-* ``u^p`` (and ``pow``) needs u >= 0, and u > 0 when p < 0.  It keeps u's
-  direction for p > 0 and flips it for p < 0.  It is convex for p >= 1 and
-  a convex u, and for p < 0 and a concave u;
+* ``u^p`` (``pow(u, p)`` parses to it) needs u >= 0, and u > 0 when
+  p < 0.  It keeps u's direction for p > 0 and flips it for p < 0.  It is
+  convex for p >= 1 and a convex u, and for p < 0 and a concave u;
 * ``c/w`` is ``c*w^(-1)``, and ``c/u^q`` is ``c*u^(-q)``; u and q are walked
   once, so the walk stays linear in the tree's size;
 * ``abs`` of an affine term is convex, with range [0, max(-lo, hi)];
@@ -68,19 +68,19 @@ def _walk(node: Node, lo: float, hi: float) -> Shape | None:
     if kind is Neg:
         u = _walk(node.operand, lo, hi)
         return u and _negated(u)
-    if kind is Call and node.name != "pow":
+    if kind is Call:
         u = _walk(node.args[0], lo, hi)
         if u is None or _fixed(u):
             return u and _const(_SCALAR[node.name](u.lo))
         rule = _CALLS.get(node.name)  # sqrt and ln of a non-constant term have none
         return rule and rule(u)
-    op, left, right = (node.op, node.left, node.right) if kind is BinOp else ("^", *node.args)
-    u = _walk(left, lo, hi)
+    op, right = node.op, node.right
+    u = _walk(node.left, lo, hi)
     if u is None:
         return None
-    parts = _power_parts(right) if op == "/" and _fixed(u) else None
-    if parts:  # c/u^q is c*u^(-q): walk u and q once each, and u^q from them
-        w, q = _walk(parts[0], lo, hi), _walk(parts[1], lo, hi)
+    reciprocal = op == "/" and _fixed(u) and type(right) is BinOp and right.op == "^"
+    if reciprocal:  # c/u^q is c*u^(-q): walk u and q once each, and u^q from them
+        w, q = _walk(right.left, lo, hi), _walk(right.right, lo, hi)
         v = w and q and _raised(w, q)
     else:
         v = _walk(right, lo, hi)
@@ -95,7 +95,7 @@ def _walk(node: Node, lo: float, hi: float) -> Shape | None:
     if op == "*" and _fixed(u):
         return _scaled(v, u.lo, operator.mul)
     if op == "/" and _fixed(u):  # c/w is c*w^(-1)
-        inverse = _power(w, -q.lo) if parts else _power(v, -1.0)
+        inverse = _power(w, -q.lo) if reciprocal else _power(v, -1.0)
         return inverse and _scaled(inverse, u.lo, operator.mul)
     return _raised(u, v)
 
@@ -105,13 +105,6 @@ def _raised(u: Shape, v: Shape) -> Shape | None:
     if _fixed(v):
         return _const(_SCALAR["^"](u.lo, v.lo)) if _fixed(u) else _power(u, v.lo)
     return None
-
-
-def _power_parts(node: Node):
-    """``(u, p)`` of a node ``u^p`` or ``pow(u, p)``, else None."""
-    if type(node) is BinOp and node.op == "^":
-        return node.left, node.right
-    return node.args if type(node) is Call and node.name == "pow" else None
 
 
 def _const(value: float) -> Shape | None:

@@ -9,7 +9,7 @@ where mu is phi of Lebesgue length, passed as the distortion expression
 construction, so the sup is the threshold where F crosses the diagonal.  It
 is computed by bisecting on the predicate F(alpha) >= alpha, and F is not
 probed for monotonicity (only the bound engine, whose envelope product can
-rise, probes its F).
+rise, tests its F for a rise).
 
 The integrand is sampled on an x grid, evaluated in fixed-size chunks.  Its
 array form is compiled once per grid, and each chunk's coordinates are

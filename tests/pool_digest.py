@@ -10,6 +10,10 @@ message instead.  Two commits that print the same lines give the same outputs
 on those pools, so a change meant to keep every answer can be checked with
 one diff of this script's output.
 
+A last line gives the sha256 of the command line's bytes: the stdout and exit
+code of every ``sugeno-bounds`` example line in README.md, each run in text,
+json and csv through ``cli.run`` in this process.
+
 With ``--counts``, each digest line is followed by one that gives the scalar
 evaluations the level-set engine made in that pass, of integrands (f) and of
 distortions (phi, mu(X) included), and the largest f + phi count of any single
@@ -22,6 +26,8 @@ counts that checkout.
 import argparse
 import contextlib
 import hashlib
+import io
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -31,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import sugeno_bounds as sb  # noqa: E402
 import workloads  # noqa: E402
-from sugeno_bounds import sugeno  # noqa: E402
+from sugeno_bounds import cli, sugeno  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -74,6 +80,22 @@ def pool_digest(name: str, seed: int) -> tuple[int, str]:
     return len(ops), digest.hexdigest()
 
 
+def cli_digest() -> tuple[int, str]:
+    """Number of README example runs and the sha256 of their stdout and exit codes."""
+    digest, runs = hashlib.sha256(), 0
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if not line.startswith("sugeno-bounds "):
+            continue
+        for fmt in ("text", "json", "csv"):  # a later --format wins over the example's own
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                warnings.simplefilter("ignore")
+                code = cli.run(shlex.split(line)[1:] + ["--format", fmt])
+            digest.update(f"{out.getvalue()}exit {code}\n".encode())
+            runs += 1
+    return runs, digest.hexdigest()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[301, 302, 303])
@@ -91,6 +113,8 @@ def main(argv=None) -> None:
             if args.counts:
                 print(f"{name} seed {seed} scalar evaluations f {counts['f']} phi {counts['phi']}"
                       f" largest integral {counts['largest']}", flush=True)
+    runs, hexdigest = cli_digest()
+    print(f"cli readme examples runs {runs} sha256 {hexdigest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -119,14 +119,10 @@ def _walk(node: Node, x, ops: dict):
         return node.value
     if kind is Neg:
         return -_walk(node.operand, x, ops)
-    first = _walk(node.args[0], x, ops)
-    if len(node.args) == 1:
-        return ops[node.name](first)
-    return ops[node.name](first, _walk(node.args[1], x, ops))
+    return ops[node.name](_walk(node.args[0], x, ops))
 
 
-_EVERY_OPERAND = {**_ARRAY, "^": _nan_where_operand_nonfinite(np.power),
-                  "pow": _nan_where_operand_nonfinite(np.power)}
+_EVERY_OPERAND = {**_ARRAY, "^": _nan_where_operand_nonfinite(np.power)}
 
 
 def evaluate_array_every_operand(f: FunctionExpr, xs) -> np.ndarray:

@@ -6,6 +6,8 @@ comments and recomputed here from their closed-form roots.
 
 import json
 import math
+import random
+import warnings
 
 import mpmath
 import pytest
@@ -260,6 +262,48 @@ def test_decreasing_literal_shift_negative_lengths():
     assert F(3.0) == pytest.approx(0.25)  # (-0.5) * (-0.5)
     # below the envelope bottom it is the full base length
     assert F(0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("f_text, beta", [("0.01/x^2", 0.24999999999994316),
+                                          ("1/x^2", 0.32207986561201096)])
+def test_rise_past_the_later_zero_crossing_warns(f_text, beta):
+    # at m = 0.5 on [1, 2] both factor lengths cross 0 at 0.0042 (0.417 for
+    # 1/x^2) and then turn negative, so F rises again before the solve's upper
+    # end 2.25; eight probe points missed both rises.  The threshold is unchanged.
+    f = parse(f_text)
+    with pytest.warns(RuntimeWarning, match="non-increasing"):
+        res = hadamard_bound(f, f, Interval(1.0, 2.0), SMParams(1.0, 0.5))
+    assert res.beta == beta
+
+
+def test_rise_below_zero_does_not_warn():
+    # g's length turns negative at 0.417 and f's only at 3.67, past the upper end
+    # 2.25: F rises from -0.5 toward 0 there, below every threshold, so the answer
+    # stands (the eight-point probe warned here)
+    e, box, p = EndpointData(10.0, 1.0, 1.0, 0.25), Interval(1.0, 2.0), SMParams(1.0, 0.5)
+    F = envelope_distribution(e, box, p)
+    assert F(1.0) < F(2.25) < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert endpoint_bound(e, box, p).beta == pytest.approx(0.35714285714, abs=1e-9)
+
+
+def test_no_rise_warning_at_m_one_or_in_the_increasing_case():
+    # an increasing-case length w*(1 - Q**(1/s)) is never negative, and neither
+    # is a decreasing-case one when m*a - a is 0 (m = 1, or a = 0)
+    rng = random.Random(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            a = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+            base, s = Interval(a, a + rng.uniform(0.1, 3.0)), rng.uniform(0.05, 1.0)
+            fa, ga = rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0)
+            m = rng.uniform(0.05, 1.0)
+            rise = EndpointData(fa, m * fa * rng.uniform(1.01, 4.0), ga, m * ga * rng.uniform(1.01, 4.0))
+            assert endpoint_bound(rise, base, SMParams(s, m)).case is CaseTag.INCREASING
+            m = m if a == 0.0 else 1.0
+            fall = EndpointData(fa, m * fa * rng.uniform(0.0, 0.99), ga, m * ga * rng.uniform(0.0, 0.99))
+            assert endpoint_bound(fall, base, SMParams(s, m)).case is CaseTag.DECREASING
 
 
 def test_dispatch_increasing():

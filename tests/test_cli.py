@@ -98,6 +98,36 @@ def test_text_layout_is_pinned(capsys, argv, text):
     assert _run(capsys, *argv) == (0, text)
 
 
+_REPRODUCE_FIELDS = ["case_id", "quantity", "paper_value", "computed_value", "abs_diff", "verdict",
+                     "note"]
+
+
+def _csv_cell(value):
+    """The csv cell of a JSON value: as the value prints, empty for null."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("argv,text", _GOLDEN_TEXT, ids=[argv[0] for argv, _ in _GOLDEN_TEXT])
+def test_json_and_csv_layouts_follow_the_text_layout(capsys, argv, text):
+    # one key list per report, in order: the text layout's keys (the row fields
+    # for reproduce) are the JSON keys and the CSV header, and each JSON value
+    # is its CSV cell
+    if argv[0] == "reproduce":
+        keys = _REPRODUCE_FIELDS
+    else:
+        keys = [line.split()[0] for line in text.splitlines()]
+    code, out = _run(capsys, *argv, "--format", "json")
+    obj = _strict_json(out)
+    objs = obj["rows"] if argv[0] == "reproduce" else [obj]
+    assert code == 0 and objs and all(list(o) == keys for o in objs)
+    code, out = _run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert code == 0 and header == keys
+    assert rows == [[_csv_cell(o[k]) for k in keys] for o in objs]
+
+
 def test_integrate_json_single_object(capsys):
     code, out = _run(capsys, "integrate", "--f", "x^2", "--interval", "1,4",
                      "--format", "json")

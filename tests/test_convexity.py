@@ -205,7 +205,6 @@ def _shaped_trees(depth):
         _trees(0),
         st.builds(BinOp, st.sampled_from(list("+-*/^")), sub, sub),
         st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(["exp", "sqrt", "ln", "abs"]), sub),
-        st.builds(lambda a, b: Call("pow", (a, b)), sub, sub),
         st.builds(lambda a: BinOp("-", a, Num(2.0)), sub),
         sub.map(Neg),
     )

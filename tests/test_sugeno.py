@@ -113,7 +113,7 @@ def _monotone_draws(seed, n):
 _BENCH_MEASURES = [None, "sqrt(x)", "x^2", "x/(1+x)"]
 # expr._compile's operator table over 50-digit mpmath numbers; float literals stay exact.
 _MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-           "^": operator.pow, "pow": operator.pow, "exp": mpmath.exp, "sqrt": mpmath.sqrt,
+           "^": operator.pow, "exp": mpmath.exp, "sqrt": mpmath.sqrt,
            "ln": mpmath.log, "abs": abs}
 
 
