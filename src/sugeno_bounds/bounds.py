@@ -29,9 +29,11 @@ length turns negative past its zero crossing
 z = m * 2**(1-s) * f(a) + (f(b) - m*f(a)) * (-shift/w)**s.  Between the two
 crossings F is negative, below every threshold, so no rise there can change
 the answer; beyond the later one both lengths are negative and falling, so F
-rises from 0.  ``endpoint_bound`` warns exactly when that later crossing lies
-below the solve's upper end max(w**2, b - a).  The integral engine's F is a
-distribution function and needs no such test.
+rises from 0, up to F(hi) at the solve's upper end hi = max(w**2, b - a).
+When F(hi) < z, every beta past z has F(beta) <= F(hi) < z <= beta, and the
+rise never reaches the diagonal F(beta) = beta.  So ``endpoint_bound`` warns
+exactly when z < hi and F(hi) >= z.  The integral engine's F is a distribution
+function and needs no such test.
 
 ``verify_hadamard`` computes the integral of f*g, the bound, and the
 endpoint (Kirmaci-type) comparison value, and reports the measured margin;
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .convexity import EndpointData, SMParams, endpoint_data
+from .convexity import EndpointData, SMParams, endpoint_data, envelope_terms
 from .exceptions import DomainError, NegativeFunctionError, UnsupportedCaseError
 from .expr import FunctionExpr, product
 from .measure import Interval, lebesgue
@@ -125,12 +127,10 @@ def envelope_distribution(
             f"f(b)-m*f(a)={e.fb - p.m * e.fa!r}, g(b)-m*g(a)={e.gb - p.m * e.ga!r}"
         )
     increasing = tag is CaseTag.INCREASING
-    c = 2.0 ** (1.0 - p.s)
     w = base.b - p.m * base.a
     shift = p.m * base.a - base.a  # non-positive; zero when m = 1
     inv_s = 1.0 / p.s
-    factor_f = (p.m * c * e.fa, e.fb - p.m * e.fa)  # (envelope offset, scale)
-    factor_g = (p.m * c * e.ga, e.gb - p.m * e.ga)
+    factor_f, factor_g = envelope_terms(e.fa, e.fb, p), envelope_terms(e.ga, e.gb, p)
 
     def factor_length(beta: float, edge: float, d: float) -> float:
         q = min(max((beta - edge) / d, 0.0), 1.0) ** inv_s
@@ -150,8 +150,8 @@ def _rise_start(e: EndpointData, base: Interval, p: SMParams) -> float:
     if shift == 0.0:
         return math.inf
     r = (-shift / (base.b - p.m * base.a)) ** p.s
-    c = p.m * 2.0 ** (1.0 - p.s)
-    return max(c * fa + (fb - p.m * fa) * r for fa, fb in ((e.fa, e.fb), (e.ga, e.gb)))
+    terms = envelope_terms(e.fa, e.fb, p), envelope_terms(e.ga, e.gb, p)
+    return max(offset + scale * r for offset, scale in terms)
 
 
 def endpoint_bound(
@@ -181,7 +181,7 @@ def endpoint_bound(
     hi = max(w * w, base.length)
     beta, _ = solve_sup_threshold(F, 0.0, hi)
     residual = abs(F(beta) - beta)
-    if tag is CaseTag.DECREASING and _rise_start(e, base, p) < hi:
+    if tag is CaseTag.DECREASING and (z := _rise_start(e, base, p)) < hi and F(hi) >= z:
         warnings.warn("endpoint_bound: the envelope distribution does not look non-increasing; "
                       "the returned threshold may not be the supremum", RuntimeWarning, stacklevel=2)
     return BetaResult(beta, residual, min(beta, base.length), tag)

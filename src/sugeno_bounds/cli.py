@@ -49,7 +49,7 @@ from enum import Enum
 from .bounds import (VerificationReport, endpoint_bound, hadamard_bound, kirmaci_bound,
                      verify_hadamard)
 from .convexity import (DEFAULT_LATTICE, MAX_LATTICE, EndpointData, SMParams, check_sm_convex,
-                        envelope)
+                        envelope, envelope_terms)
 from .exceptions import NoAnswerError
 from .expr import FunctionExpr, parse, product
 from .measure import Interval, distortion, lebesgue
@@ -107,11 +107,9 @@ def _case_38() -> list[ReproduceRow]:
     # envelope product is monotone, so its integral takes the exact path.
     published = 2.5302
     w = base.b - p.m * base.a
-    inv_s = 1.0 / p.s
-    q_f = (published - p.m * 2.0 ** (1.0 - p.s) * e.fa) / (e.fb - p.m * e.fa)
-    q_g = (published - p.m * 2.0 ** (1.0 - p.s) * e.ga) / (e.gb - p.m * e.ga)
-    lhs = (w * (1.0 - q_f**inv_s)) * (w * (1.0 - q_g**inv_s))
-    equation_residual = abs(lhs - published)
+    lengths = [w * (1.0 - ((published - offset) / scale) ** (1.0 / p.s))
+               for offset, scale in (envelope_terms(e.fa, e.fb, p), envelope_terms(e.ga, e.gb, p))]
+    equation_residual = abs(lengths[0] * lengths[1] - published)
 
     env_fg = product(envelope(e.fa, e.fb, base, p), envelope(e.ga, e.gb, base, p))
     sup_min = sugeno_integral(env_fg, base).value

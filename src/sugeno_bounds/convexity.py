@@ -18,6 +18,11 @@ does not fit) by one compiled array form of f, so that memory stays under
 dominates such a function on [a, b]; its value at x is
 
     m * 2**(1-s) * f(a) + ((x - m*a)/(b - m*a))**s * (f(b) - m*f(a)).
+
+``envelope_terms`` gives its two endpoint terms, the offset m * 2**(1-s) * f(a)
+and the scale f(b) - m*f(a), and is the one place they are computed: the
+bound's envelope distribution and rise test and the CLI's published-threshold
+residual take them from it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "EndpointData",
     "check_sm_convex",
     "envelope",
+    "envelope_terms",
     "endpoint_data",
 ]
 
@@ -205,14 +211,16 @@ def _scan_lattice(f: FunctionExpr, base: Interval, p: SMParams, grid: int) -> Co
     return ConvexityVerdict(True, None, grid, skipped)
 
 
+def envelope_terms(fa: float, fb: float, p: SMParams) -> tuple[float, float]:
+    """The envelope's offset m * 2**(1-s) * f(a) and the scale f(b) - m*f(a) of its power term."""
+    return p.m * 2.0 ** (1.0 - p.s) * fa, fb - p.m * fa
+
+
 def envelope(fa: float, fb: float, base: Interval, p: SMParams) -> FunctionExpr:
     """Power envelope through the endpoint data of an (s,m)-convex function."""
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError("endpoint values must be finite")
-    offset = p.m * 2.0 ** (1.0 - p.s) * fa
+    offset, scale = envelope_terms(fa, fb, p)
     left = p.m * base.a
-    width = base.b - left
-    scale = fb - p.m * fa
-    t = BinOp("/", BinOp("-", Var(), Num(left)), Num(width))
-    root = BinOp("+", Num(offset), BinOp("*", BinOp("^", t, Num(p.s)), Num(scale)))
-    return FunctionExpr(root)
+    t = BinOp("/", BinOp("-", Var(), Num(left)), Num(base.b - left))
+    return FunctionExpr(BinOp("+", Num(offset), BinOp("*", BinOp("^", t, Num(p.s)), Num(scale))))

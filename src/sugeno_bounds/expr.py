@@ -11,9 +11,12 @@ Grammar (standard infix over the single variable ``x``)::
 Named functions: ``sqrt``, ``exp``, ``ln``, ``abs`` (one argument) and
 ``pow`` (two arguments).  ``pow(u, v)`` parses to the node of ``u^v``, so a
 power has one node shape and every other call takes one argument.  Unary
-minus binds below ``^``, so ``-x^2`` means ``-(x^2)``.  There is no implicit
-multiplication.  Parsed trees are immutable and evaluation is pure, so
-expressions are safe to share.
+minus binds below ``^``, so ``-x^2`` means ``-(x^2)``, and ``-u`` parses to
+the product ``(-1)*u``: multiplying by -1 is exact, so its value has the bits
+of ``-u`` for every float, signed zeros and infinities included.  A tree
+therefore has four node kinds: a number, ``x``, a binary operation and a
+call.  There is no implicit multiplication.  Parsed trees are immutable and
+evaluation is pure, so expressions are safe to share.
 
 ``parse`` rejects an expression nested deeper than ``MAX_DEPTH`` levels in
 the grammar (parentheses, unary minus, ``^``, call arguments) or in the tree
@@ -72,11 +75,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
 class BinOp:
     op: str  # one of + - * / ^
     left: "Node"
@@ -89,7 +87,7 @@ class Call:
     args: tuple["Node", ...]
 
 
-Node = Union[Num, Var, Neg, BinOp, Call]
+Node = Union[Num, Var, BinOp, Call]
 
 FUNCTIONS = {"sqrt": 1, "exp": 1, "ln": 1, "abs": 1, "pow": 2}
 
@@ -154,7 +152,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(self.tokens[self.i][2], f"expression nests deeper than {MAX_DEPTH} levels")
-        node = Neg(self.factor()) if self.take("-") else self.power()
+        node = BinOp("*", Num(-1.0), self.factor()) if self.take("-") else self.power()
         self.depth -= 1
         return node
 
@@ -211,9 +209,7 @@ def _tree_depth(root: Node) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        if isinstance(node, Neg):
-            stack.append((node.operand, depth + 1))
-        elif isinstance(node, BinOp):
+        if isinstance(node, BinOp):
             stack += [(node.left, depth + 1), (node.right, depth + 1)]
         elif isinstance(node, Call):
             stack += [(arg, depth + 1) for arg in node.args]
@@ -242,9 +238,6 @@ def _compile(node: Node, ops: dict):
     if kind is Num:
         value = node.value
         return lambda x: value
-    if kind is Neg:
-        operand = _compile(node.operand, ops)
-        return lambda x: -operand(x)
     if kind is Call:
         op, arg = ops[node.name], _compile(node.args[0], ops)
         return lambda x: op(arg(x))

@@ -12,7 +12,8 @@ variable:
 * a sum keeps a direction or curvature that its terms share.  A flat or
   affine term gives way to the other one, and opposite ones are unknown.
   ``-`` flips its right side, a positive constant factor or divisor keeps
-  the shape, and a negative one flips it;
+  the shape, and a negative one flips it.  Unary ``-u`` is parsed as
+  ``(-1)*u``, so it is a negative constant factor;
 * ``exp`` keeps its argument's direction, and is convex of a convex term;
 * ``u^p`` (``pow(u, p)`` parses to it) needs u >= 0, and u > 0 when
   p < 0.  It keeps u's direction for p > 0 and flips it for p < 0.  It is
@@ -37,7 +38,7 @@ import operator
 from typing import NamedTuple
 
 from .exceptions import EvalError
-from .expr import _SCALAR, BinOp, Call, Neg, Node, Num, Var
+from .expr import _SCALAR, BinOp, Call, Node, Num, Var
 
 __all__ = ["Shape", "shape_of"]
 
@@ -65,9 +66,6 @@ def _walk(node: Node, lo: float, hi: float) -> Shape | None:
         return Shape(lo, hi, 1, 0)
     if kind is Num:
         return _const(node.value)
-    if kind is Neg:
-        u = _walk(node.operand, lo, hi)
-        return u and _negated(u)
     if kind is Call:
         u = _walk(node.args[0], lo, hi)
         if u is None or _fixed(u):

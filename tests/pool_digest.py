@@ -16,8 +16,9 @@ json and csv through ``cli.run`` in this process.
 
 With ``--counts``, each digest line is followed by one that gives the scalar
 evaluations the level-set engine made in that pass, of integrands (f) and of
-distortions (phi, mu(X) included), and the largest f + phi count of any single
-integral in the pass.  They are a deterministic cost figure:
+distortions (phi, mu(X) included), the largest f + phi count of any single
+integral in the pass, and the RuntimeWarnings that the pass raised (each one
+counted, none printed).  They are a deterministic cost figure:
 the same on every run and every host, unlike a timing.  The script measures
 the code under its own root, so a copy of it placed in another checkout
 counts that checkout.
@@ -65,19 +66,21 @@ def scalar_evaluations():
         sugeno.evaluate, sugeno._LevelSets.__init__ = evaluate, build
 
 
-def pool_digest(name: str, seed: int) -> tuple[int, str]:
-    """Number of operations in the pool and the sha256 of their output reprs."""
-    digest = hashlib.sha256()
+def pool_digest(name: str, seed: int) -> tuple[int, str, int]:
+    """Number of operations in the pool, the sha256 of their output reprs, and the
+    number of RuntimeWarnings they raised."""
+    digest, warned = hashlib.sha256(), 0
     ops = workloads.build(name, sb, seed).ops
     for op in ops:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 out = repr(op.call())
             except Exception as exc:  # an error is an output too
                 out = f"{type(exc).__name__}: {exc}"
+        warned += sum(issubclass(w.category, RuntimeWarning) for w in caught)
         digest.update(out.encode() + b"\n")
-    return len(ops), digest.hexdigest()
+    return len(ops), digest.hexdigest(), warned
 
 
 def cli_digest() -> tuple[int, str]:
@@ -103,16 +106,16 @@ def main(argv=None) -> None:
                         default=list(workloads.WORKLOADS))
     parser.add_argument("--counts", action="store_true",
                         help="also print the scalar evaluations of f and phi in each pass, "
-                             "and the most of any one integral")
+                             "the most of any one integral, and the RuntimeWarnings raised")
     args = parser.parse_args(argv)
     for name in args.workload:
         for seed in args.seeds:
             with scalar_evaluations() as counts:
-                n, hexdigest = pool_digest(name, seed)
+                n, hexdigest, warned = pool_digest(name, seed)
             print(f"{name} seed {seed} ops {n} sha256 {hexdigest}", flush=True)
             if args.counts:
                 print(f"{name} seed {seed} scalar evaluations f {counts['f']} phi {counts['phi']}"
-                      f" largest integral {counts['largest']}", flush=True)
+                      f" largest integral {counts['largest']} warnings {warned}", flush=True)
     runs, hexdigest = cli_digest()
     print(f"cli readme examples runs {runs} sha256 {hexdigest}", flush=True)
 

@@ -36,7 +36,7 @@ import numpy as np
 from sugeno_bounds.bounds import BetaResult, CaseTag
 from sugeno_bounds.convexity import _CONVEXITY_SLACK, ConvexityVerdict, SMParams, envelope
 from sugeno_bounds.exceptions import DomainError, EvalError, NegativeFunctionError
-from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Neg, Node, Num, Var,
+from sugeno_bounds.expr import (_ARRAY, BinOp, FunctionExpr, Node, Num, Var,
                                 _nan_where_operand_nonfinite, evaluate, evaluate_array)
 from sugeno_bounds.measure import Interval, lebesgue
 from sugeno_bounds.rootfind import solve_sup_threshold
@@ -117,8 +117,6 @@ def _walk(node: Node, x, ops: dict):
         return x
     if kind is Num:
         return node.value
-    if kind is Neg:
-        return -_walk(node.operand, x, ops)
     return ops[node.name](_walk(node.args[0], x, ops))
 
 
@@ -236,8 +234,6 @@ def _fmt(node: Node) -> str:
         return text if node.value >= 0.0 else f"({text})"
     if isinstance(node, Var):
         return "x"
-    if isinstance(node, Neg):
-        return f"(-{_fmt(node.operand)})"
     if isinstance(node, BinOp):
         return f"({_fmt(node.left)}{node.op}{_fmt(node.right)})"
     args = ",".join(_fmt(a) for a in node.args)

@@ -15,6 +15,7 @@ import pytest
 from reference import decreasing_beta_convex, increasing_beta_convex
 from sugeno_bounds.bounds import (
     CaseTag,
+    _rise_start,
     classify_case,
     endpoint_bound,
     envelope_distribution,
@@ -23,7 +24,7 @@ from sugeno_bounds.bounds import (
     verify_hadamard,
 )
 from sugeno_bounds.cli import emit_report
-from sugeno_bounds.convexity import EndpointData, SMParams
+from sugeno_bounds.convexity import EndpointData, SMParams, endpoint_data
 from sugeno_bounds.exceptions import DomainError, UnsupportedCaseError
 from sugeno_bounds.expr import parse
 from sugeno_bounds.measure import Interval
@@ -264,16 +265,44 @@ def test_decreasing_literal_shift_negative_lengths():
     assert F(0.0) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("f_text, beta", [("0.01/x^2", 0.24999999999994316),
-                                          ("1/x^2", 0.32207986561201096)])
+@pytest.mark.parametrize("f_text, beta", [("0.01/x^2", 0.24999999999994316)])
 def test_rise_past_the_later_zero_crossing_warns(f_text, beta):
-    # at m = 0.5 on [1, 2] both factor lengths cross 0 at 0.0042 (0.417 for
-    # 1/x^2) and then turn negative, so F rises again before the solve's upper
-    # end 2.25; eight probe points missed both rises.  The threshold is unchanged.
+    # at m = 0.5 on [1, 2] both factor lengths cross 0 at z = 0.0042 and then
+    # turn negative, so F rises again, to F(2.25) = 0.25 >= z at the solve's
+    # upper end 2.25; eight probe points missed the rise.  The threshold is unchanged.
     f = parse(f_text)
     with pytest.warns(RuntimeWarning, match="non-increasing"):
         res = hadamard_bound(f, f, Interval(1.0, 2.0), SMParams(1.0, 0.5))
     assert res.beta == beta
+
+
+@pytest.mark.parametrize("f_text, beta", [("1/x^2", 0.32207986561201096),
+                                          ("2-x", 0.18858048469610367)])
+def test_rise_below_the_diagonal_does_not_warn(f_text, beta):
+    # both factor lengths cross 0 at z = 0.417 (0.333 for 2-x), and past z F
+    # rises only to F(2.25) = 0.25 < z: no threshold past z has F(beta) >= beta,
+    # so the solve's beta is the supremum
+    f, box, p = parse(f_text), Interval(1.0, 2.0), SMParams(1.0, 0.5)
+    e = endpoint_data(f, f, box)
+    assert envelope_distribution(e, box, p)(2.25) < _rise_start(e, box, p) < 2.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hadamard_bound(f, f, box, p).beta == beta
+
+
+@pytest.mark.parametrize("fa, fb, warns", [(0.5, 0.24, True), (0.52, 0.24, False)])
+def test_rise_warning_turns_on_where_the_rise_reaches_the_later_crossing(fa, fb, warns):
+    # f = g on [1, 2] at s = 1, m = 0.5: past the envelope top F is shift^2 = 0.25,
+    # so F(2.25) = 0.25, and the later zero crossing is z = (f(a) + f(b))/3, here
+    # 0.2467 (the rise reaches z: warn) or 0.2533 (it stays below: no warning)
+    e, box, p = EndpointData(fa, fb, fa, fb), Interval(1.0, 2.0), SMParams(1.0, 0.5)
+    z = _rise_start(e, box, p)
+    assert z == pytest.approx((fa + fb) / 3, rel=1e-12)
+    assert envelope_distribution(e, box, p)(2.25) == pytest.approx(0.25, rel=1e-12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        endpoint_bound(e, box, p)
+    assert any("non-increasing" in str(w.message) for w in caught) is warns
 
 
 def test_rise_below_zero_does_not_warn():

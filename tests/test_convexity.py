@@ -26,10 +26,9 @@ from sugeno_bounds.convexity import (
     envelope,
 )
 from sugeno_bounds.exceptions import DomainError, EvalError
-from sugeno_bounds.expr import (BinOp, Call, FunctionExpr, Neg, Num, Var, evaluate, evaluate_array,
-                                parse)
+from sugeno_bounds.expr import BinOp, Call, FunctionExpr, Num, Var, evaluate, evaluate_array, parse
 from sugeno_bounds.measure import Interval
-from test_expr import _trees
+from test_expr import Neg, _trees
 from test_sugeno import _load_bench_gen
 
 

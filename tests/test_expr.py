@@ -25,7 +25,6 @@ from sugeno_bounds.expr import (
     BinOp,
     Call,
     FunctionExpr,
-    Neg,
     Num,
     Var,
     _compile,
@@ -36,6 +35,11 @@ from sugeno_bounds.expr import (
 )
 
 mpmath.mp.dps = 50
+
+
+def Neg(u):
+    """``-u`` as the parser reads it: the product ``(-1)*u``."""
+    return BinOp("*", Num(-1.0), u)
 
 
 def test_basic_powers_and_division():
@@ -64,6 +68,34 @@ def test_division_by_zero_raises():
 def test_power_binds_tighter_than_unary_minus():
     # -x^2 is -(x^2), not (-x)^2
     assert evaluate(parse("-x^2"), 3.0) == -9.0
+
+
+@pytest.mark.parametrize("text, root", [
+    ("-x", BinOp("*", Num(-1.0), Var())),
+    ("-x^2", Neg(BinOp("^", Var(), Num(2.0)))),
+    ("2^-x", BinOp("^", Num(2.0), Neg(Var()))),
+    ("-0", Neg(Num(0.0))),
+    ("--x", Neg(Neg(Var()))),
+])
+def test_unary_minus_parses_to_a_product_with_minus_one(text, root):
+    assert parse(text).root == root
+
+
+@pytest.mark.parametrize("text, x", [("-0", 1.0), ("-x", 0.0), ("-(x-1)", 1.0)])
+def test_negative_zero_survives_evaluation(text, x):
+    f = parse(text)
+    assert math.copysign(1.0, evaluate(f, x)) == -1.0
+    assert np.signbit(evaluate_array(f, [x, x])).all()
+
+
+def test_unary_minus_depth_limit():
+    # -u is one level deeper than u, as the grammar counts it and as the tree does
+    deepest = "-" * (MAX_DEPTH - 1) + "x"
+    assert evaluate(parse(deepest), 2.0) == -2.0
+    with pytest.raises(ParseError) as exc:
+        parse("-" + deepest)
+    assert (exc.value.position, exc.value.message) == \
+        (MAX_DEPTH, f"expression nests deeper than {MAX_DEPTH} levels")
 
 
 def test_power_right_associative():
@@ -216,8 +248,6 @@ def _reference_eval(node, x):
         return node.value
     if isinstance(node, Var):
         return x
-    if node.__class__.__name__ == "Neg":
-        return -_reference_eval(node.operand, x)
     if isinstance(node, BinOp):
         a = _reference_eval(node.left, x)
         b = _reference_eval(node.right, x)
@@ -470,6 +500,20 @@ def test_compiled_matches_the_walk_oracle(tree, x, xs):
         with np.errstate(all="ignore"):
             got, want = _compile(tree, table)(xs), _walk(tree, xs, table)
         assert np.broadcast_to(got, xs.shape).tobytes() == np.broadcast_to(want, xs.shape).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_wide_trees(4), x=st.floats(),
+       xs=st.lists(st.one_of(st.sampled_from(_POINTS), st.floats()), max_size=16))
+def test_times_minus_one_is_exact_negation(tree, x, xs):
+    # -u parses to (-1)*u, and a product with -1 is exact: the bits of -u, zeros and
+    # infinities included, or the same EvalError; NaN marks the same points
+    f, negated = FunctionExpr(tree), FunctionExpr(Neg(tree))
+    assert _scalar_outcome(lambda: evaluate(negated, x)) == _scalar_outcome(lambda: -evaluate(f, x))
+    got, want = evaluate_array(negated, xs), evaluate_array(f, xs)
+    defined = ~np.isnan(want)
+    assert np.array_equal(np.isnan(got), ~defined)
+    assert got[defined].tobytes() == np.negative(want[defined]).tobytes()
 
 
 def test_evaluated_expression_pickles_and_copies():
